@@ -41,16 +41,12 @@ from .pulses import (
 )
 from .dynamics import (
     DecoherenceRates,
-    DensityMatrix,
     ErrorFractions,
-    EvolutionFrame,
     TransmonParams,
     TwoQubitDrive,
     build_two_qubit_drive,
     effective_two_qubit_hamiltonian,
-    error_inject,
     eta_waveform,
-    evolution_frame,
     evolve_lindblad,
     evolve_schrodinger,
     parallel_transport_check,

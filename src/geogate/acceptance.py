@@ -142,7 +142,7 @@ def criterion_6_three_level_fidelities(n_theta: int = 1001, dt: float = 0.001) -
         pulse = drag_correct(synthesize(spec), ANHARMONICITY)
         f = average_gate_fidelity_1q(pulse, target_unitary(spec), model="three_level",
                                      anharmonicity=ANHARMONICITY, rates=BENCH_RATES,
-                                     n_theta=n_theta, dt=dt, method="states")
+                                     n_theta=n_theta, dt=dt, method="channel")
         fids[name] = (f, center)
     ok = all(_within(f, c, 0.0003) for f, c in fids.values())
     detail = ", ".join(f"F_{n}={f:.5f} ({c}±0.0003)" for n, (f, c) in fids.items())

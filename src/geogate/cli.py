@@ -212,6 +212,7 @@ def cmd_scan(args) -> int:
     out_dir = _out_dir(config, args)
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
+    i0 = int(np.argmin(np.abs(values)))  # the grid point nearest zero error
     for axis in axes:
         scan = robustness_scan(variants, axis, values, rates=rates,
                                n_theta=config.get("n_theta", 1001),
@@ -220,7 +221,8 @@ def cmd_scan(args) -> int:
         scan.to_csv(out)
         outputs.append(out)
         for name, fids in sorted(scan.fidelities.items()):
-            print(f"{axis} {name}: F(min)={fids.min():.6f} F(0)={fids[n_points // 2]:.6f}")
+            print(f"{axis} {name}: F(min)={fids.min():.6f} "
+                  f"F({values[i0]:.6g})={fids[i0]:.6f}")
     write_manifest(out_dir, "scan", config, args.seed, outputs)
     for out in outputs:
         print(f"wrote {out}")

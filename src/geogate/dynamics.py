@@ -16,6 +16,19 @@ Open-system evolution follows
 with decay sigma_- = |0><1| and dephasing sigma_z = |1><1| - |0><0| embedded
 per qubit (higher levels undamped).
 
+Drive convention and error model (one source: ``_drive_hamiltonian``).  In
+the frame rotating at the drive frequency a ``DrivePulse`` with detuning
+Delta(t), phase phi(t) and complex envelope Omega_env(t) -- ``drag`` once the
+leakage correction is attached, the real ``omega`` otherwise -- gives
+
+    H[1,0] = (1 + epsilon) * conj(Omega_env) * exp(i phi) / 2,  H[0,1] = H[1,0]*
+    H[0,0] = -Delta_e / 2,  H[1,1] = Delta_e / 2,  Delta_e = Delta + delta * omega0
+
+with the amplitude error epsilon scaling the applied drive and the
+detuning error delta offsetting Delta by a fraction of the amplitude budget
+omega0.  The three-level transmon adds only the |2> row and column:
+H[2,2] = 3 Delta_e / 2 - anharmonicity and H[2,1] = sqrt(2) H[1,0].
+
 Hamiltonian samplers are vectorized callables ``H(ts) -> (len(ts), d, d)``;
 the integrator evaluates them once on its half-step grid.  Batched density
 matrices (leading batch axes) evolve simultaneously through numpy
@@ -66,9 +79,13 @@ class ErrorFractions:
     delta: float = 0.0
 
     def __post_init__(self):
-        if max(abs(self.epsilon), abs(self.delta)) > 0.1 + 1e-12:
-            warnings.warn("error fraction outside the benchmark range [-0.1, 0.1]",
-                          stacklevel=2)
+        _warn_if_out_of_range([self.epsilon, self.delta])
+
+
+def _warn_if_out_of_range(fractions):
+    if np.abs(fractions).max(initial=0.0) > 0.1 + 1e-12:
+        warnings.warn("error fraction outside the benchmark range [-0.1, 0.1]",
+                      stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -82,31 +99,6 @@ class TransmonParams:
     anh_b: float = 0.0
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    matrix: np.ndarray
-
-    @classmethod
-    def from_ket(cls, ket) -> "DensityMatrix":
-        ket = np.asarray(ket, dtype=complex)
-        ket = ket / np.linalg.norm(ket)
-        return cls(np.outer(ket, ket.conj()))
-
-    @property
-    def dim(self):
-        return self.matrix.shape[-1]
-
-    def validate(self, herm_tol=1e-12, trace_tol=1e-10, psd_tol=1e-9):
-        m = self.matrix
-        if np.abs(m - m.conj().T).max() > herm_tol:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > trace_tol or abs(np.trace(m).imag) > trace_tol:
-            raise ValueError("density matrix trace differs from one")
-        if np.linalg.eigvalsh(m).min() < -psd_tol:
-            raise ValueError("density matrix has a significantly negative eigenvalue")
-        return self
-
-
 def aux_states(alpha: float, beta: float):
     """Orthonormal pair of Bloch states at (alpha, beta) and its antipode."""
     plus = np.array([math.cos(alpha / 2),
@@ -116,120 +108,59 @@ def aux_states(alpha: float, beta: float):
     return plus, minus
 
 
-@dataclass(frozen=True)
-class EvolutionFrame:
-    """Start point of a loop plus the phases its auxiliary pair accumulates."""
-
-    alpha0: float
-    beta0: float
-    gamma_plus: np.ndarray | None = None
-    gamma_minus: np.ndarray | None = None
-
-    def initial_states(self):
-        return aux_states(self.alpha0, self.beta0)
-
-
 # ---------------------------------------------------------------------------
 # samplers
 
-def _interp(ts, tp, fp):
-    return np.interp(ts, tp, fp)
+def _drive_hamiltonian(pulse: DrivePulse, ts, epsilon=0.0, delta=0.0,
+                       anharmonicity: float | None = None):
+    """Rotating-frame Hamiltonian of ``pulse`` on the grid ``ts``.
+
+    The single source of the drive convention and the error model (see the
+    module docstring).  ``epsilon`` and ``delta`` may be arrays over error
+    points; they broadcast against each other and add a point axis after
+    the time axis.  With an ``anharmonicity`` the second excited state is
+    appended (three levels), otherwise the model is the qubit alone.
+    """
+    ts = np.asarray(ts, dtype=float)
+    epsilon, delta = np.broadcast_arrays(epsilon, delta)
+    env = pulse.drag if pulse.drag is not None else pulse.omega.astype(complex)
+    om = np.interp(ts, pulse.t, env.real) + 1j * np.interp(ts, pulse.t, env.imag)
+    d10 = 0.5 * np.conj(om) * np.exp(1j * np.interp(ts, pulse.t, pulse.phase))
+    d10 = np.multiply.outer(d10, 1.0 + epsilon)
+    de = np.add.outer(np.interp(ts, pulse.t, pulse.delta), delta * pulse.omega0)
+    dim = 2 if anharmonicity is None else 3
+    H = np.zeros(d10.shape + (dim, dim), dtype=complex)
+    H[..., 0, 0] = -de / 2
+    H[..., 1, 1] = de / 2
+    H[..., 1, 0] = d10
+    H[..., 0, 1] = np.conj(d10)
+    if anharmonicity is not None:
+        H[..., 2, 2] = 3 * de / 2 - anharmonicity
+        H[..., 2, 1] = math.sqrt(2) * d10
+        H[..., 1, 2] = np.conj(H[..., 2, 1])
+    return H
+
+
+def _fractions(err: ErrorFractions | None):
+    return (err.epsilon, err.delta) if err is not None else (0.0, 0.0)
 
 
 def two_level_hamiltonian(pulse: DrivePulse, err: ErrorFractions | None = None):
     """Rotating-frame qubit Hamiltonian sampler for a synthesized pulse."""
-    base = _two_level_terms(pulse)
-
-    def sample(ts):
-        H = base(ts)
-        if err is not None and (err.epsilon or err.delta):
-            H = H + _error_terms(ts, pulse, err, dim=2)
-        return H
-
-    return sample
-
-
-def _two_level_terms(pulse):
-    def sample(ts):
-        ts = np.asarray(ts, dtype=float)
-        de = _interp(ts, pulse.t, pulse.delta)
-        env = pulse.drag if pulse.drag is not None else pulse.omega.astype(complex)
-        om = (_interp(ts, pulse.t, env.real) + 1j * _interp(ts, pulse.t, env.imag))
-        ph = _interp(ts, pulse.t, pulse.phase)
-        drive = om * np.exp(1j * ph)
-        H = np.zeros(ts.shape + (2, 2), dtype=complex)
-        H[..., 0, 0] = -de / 2
-        H[..., 1, 1] = de / 2
-        H[..., 1, 0] = drive / 2
-        H[..., 0, 1] = np.conj(drive) / 2
-        return H
-    return sample
-
-
-def _error_terms(ts, pulse: DrivePulse, err: ErrorFractions, dim: int):
-    """Additive drive-scaling and detuning-offset terms, qubit convention.
-
-    The amplitude error scales the instantaneous complex drive; the
-    detuning error adds a constant (delta/2) * omega0 on |1><1| - |0><0|.
-    For three levels the amplitude error also scales the leakage row the
-    drive shares.
-    """
-    ts = np.asarray(ts, dtype=float)
-    env = pulse.drag if pulse.drag is not None else pulse.omega.astype(complex)
-    om = (_interp(ts, pulse.t, env.real) + 1j * _interp(ts, pulse.t, env.imag))
-    ph = _interp(ts, pulse.t, pulse.phase)
-    drive = err.epsilon * om * np.exp(1j * ph)
-    off = err.delta * pulse.omega0 / 2
-    E = np.zeros(ts.shape + (dim, dim), dtype=complex)
-    E[..., 0, 0] = -off
-    E[..., 1, 1] = off
-    E[..., 1, 0] = drive / 2
-    E[..., 0, 1] = np.conj(drive) / 2
-    if dim >= 3:
-        E[..., 2, 1] = math.sqrt(2) * drive / 2
-        E[..., 1, 2] = np.conj(E[..., 2, 1])
-    return E
-
-
-def error_inject(base_sampler, err: ErrorFractions, pulse: DrivePulse, dim: int = 2):
-    """Wrap a sampler with the additive amplitude/detuning error terms."""
-    if err is None or (err.epsilon == 0.0 and err.delta == 0.0):
-        return base_sampler
-
-    def sample(ts):
-        return base_sampler(ts) + _error_terms(ts, pulse, err, dim)
-
-    return sample
+    epsilon, delta = _fractions(err)
+    return lambda ts: _drive_hamiltonian(pulse, ts, epsilon, delta)
 
 
 def three_level_hamiltonian(pulse: DrivePulse, anharmonicity: float,
                             err: ErrorFractions | None = None):
     """Transmon sampler in the frame rotating at the drive frequency.
 
-    The qubit block reproduces the two-level Hamiltonian; the second
-    excited state sits at 3*Delta/2 - anharmonicity and shares the drive
-    with a sqrt(2) matrix element.
+    The qubit block is the two-level Hamiltonian; the second excited state
+    sits at 3*Delta/2 - anharmonicity and shares the drive with a sqrt(2)
+    matrix element.
     """
-    def sample(ts):
-        ts = np.asarray(ts, dtype=float)
-        de = _interp(ts, pulse.t, pulse.delta)
-        env = pulse.drag if pulse.drag is not None else pulse.omega.astype(complex)
-        om = (_interp(ts, pulse.t, env.real) + 1j * _interp(ts, pulse.t, env.imag))
-        ph = _interp(ts, pulse.t, pulse.phase)
-        d01 = 0.5 * om * np.exp(-1j * ph)
-        H = np.zeros(ts.shape + (3, 3), dtype=complex)
-        H[..., 0, 0] = -de / 2
-        H[..., 1, 1] = de / 2
-        H[..., 2, 2] = 3 * de / 2 - anharmonicity
-        H[..., 0, 1] = d01
-        H[..., 1, 0] = np.conj(d01)
-        H[..., 1, 2] = math.sqrt(2) * d01
-        H[..., 2, 1] = np.conj(H[..., 1, 2])
-        if err is not None and (err.epsilon or err.delta):
-            H = H + _error_terms(ts, pulse, err, dim=3)
-        return H
-
-    return sample
+    epsilon, delta = _fractions(err)
+    return lambda ts: _drive_hamiltonian(pulse, ts, epsilon, delta, anharmonicity)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +212,7 @@ def _cumulative_trapezoid(y, x):
 
 def subspace_frame_phase(drive: TwoQubitDrive, ts) -> np.ndarray:
     """Integral of Delta_prime accumulated on the supplied grid."""
-    dpr = _interp(ts, drive.t, drive.Delta_prime)
+    dpr = np.interp(ts, drive.t, drive.Delta_prime)
     return _cumulative_trapezoid(dpr, ts)
 
 
@@ -311,8 +242,8 @@ def two_qubit_full_hamiltonian(params: TransmonParams, drive: TwoQubitDrive):
     """
     def sample(ts):
         ts = np.asarray(ts, dtype=float)
-        eta = _interp(ts, drive.t, drive.eta)
-        phi = _interp(ts, drive.t, drive.varphi)
+        eta = np.interp(ts, drive.t, drive.eta)
+        phi = np.interp(ts, drive.t, drive.varphi)
         S = subspace_frame_phase(drive, ts)
         theta = S + (params.anh_b + params.Delta) * ts + phi
         mod = np.exp(-1j * eta * np.sin(theta))
@@ -335,9 +266,9 @@ def effective_two_qubit_hamiltonian(drive: TwoQubitDrive):
     """Two-level reduction in {|11>, |02>}: detuning Delta_prime, coupling g_prime."""
     def sample(ts):
         ts = np.asarray(ts, dtype=float)
-        dpr = _interp(ts, drive.t, drive.Delta_prime)
-        gp = _interp(ts, drive.t, drive.g_prime)
-        phi = _interp(ts, drive.t, drive.varphi)
+        dpr = np.interp(ts, drive.t, drive.Delta_prime)
+        gp = np.interp(ts, drive.t, drive.g_prime)
+        phi = np.interp(ts, drive.t, drive.varphi)
         off = 0.5 * gp * np.exp(-1j * phi)
         H = np.zeros(ts.shape + (2, 2), dtype=complex)
         H[..., 0, 0] = -dpr / 2
@@ -534,29 +465,6 @@ def parallel_transport_check(traj: PathTrajectory, pulse: DrivePulse,
     expval = np.einsum("tni,tij,tnj->tn", res.states.conj(), H, res.states)
     overlap = np.abs(np.einsum("ni,ni->n", psi0.conj(), res.states[-1]))
     return float(np.abs(expval).max()), float(np.abs(1.0 - overlap).max())
-
-
-def evolution_frame(traj: PathTrajectory, pulse: DrivePulse,
-                    dt: float = DEFAULT_DT, record_stride: int = 100) -> EvolutionFrame:
-    """Track the phases the auxiliary pair accumulates along the drive.
-
-    With parallel transport in force the dynamical contribution vanishes,
-    so gamma_plus(tau) = -gamma_minus(tau) = minus the loop phase.
-    """
-    sampler = two_level_hamiltonian(pulse)
-    psi0 = np.stack(aux_states(traj.alpha[0], traj.beta[0]))
-    res = evolve_schrodinger(sampler, psi0, (0.0, pulse.tau), dt,
-                             record_stride=record_stride)
-    s_grid = res.times / pulse.tau
-    alpha = np.interp(s_grid, traj.s, traj.alpha)
-    beta = np.interp(s_grid, traj.s, traj.beta)
-    refs = np.empty_like(res.states)
-    for i, (a, b) in enumerate(zip(alpha, beta)):
-        refs[i, 0], refs[i, 1] = aux_states(a, b)
-    overlaps = np.einsum("tni,tni->tn", refs.conj(), res.states)
-    phases = np.unwrap(np.angle(overlaps), axis=0)
-    return EvolutionFrame(alpha0=traj.alpha[0], beta0=traj.beta[0],
-                          gamma_plus=phases[:, 0], gamma_minus=phases[:, 1])
 
 
 def trace_to_csv(path, times, populations, fidelity=None):

@@ -5,10 +5,11 @@ over initial states cos(theta)|0> + sin(theta)|1> with theta uniform on
 [0, 2*pi] (trapezoid rule, 1001 samples by default).  The two-qubit
 version averages over product states on a 51x51 theta grid.
 
-Two equivalent evaluation routes are provided: evolving every initial
-state ("states") and evolving the computational basis matrices once and
-recombining by linearity ("channel").  They agree to rounding; scans use
-the channel route for speed.
+Both are evaluated on the channel route: the computational-basis
+matrices |a><b| evolve once, and every initial state's final density
+matrix follows by linearity, so the cost does not grow with the number
+of theta samples.  Robustness scans evolve all error points of a variant
+as one batch on the same route.
 
 Dynamical comparator gates compile the same target unitaries into
 sequences of resonant rotations about equatorial axes, every segment at
@@ -32,7 +33,9 @@ from ._csv import write_csv
 from .dynamics import (
     DEFAULT_DT,
     COMPUTATIONAL_IDX,
+    _drive_hamiltonian,
     _half_step_grid,
+    _warn_if_out_of_range,
     DecoherenceRates,
     ErrorFractions,
     TransmonParams,
@@ -86,12 +89,6 @@ def theta_kets(n_theta: int) -> np.ndarray:
     return np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
 
-def _trapezoid_mean(values) -> float:
-    w = np.ones(len(values))
-    w[0] = w[-1] = 0.5
-    return float(np.sum(values * w) / np.sum(w))
-
-
 def _builder(model, pulse, anharmonicity, err):
     if model == "two_level":
         return two_level_hamiltonian(pulse, err), 2
@@ -109,39 +106,37 @@ def average_gate_fidelity_1q(pulse: DrivePulse, target: np.ndarray,
                              err: ErrorFractions | None = None,
                              n_theta: int = DEFAULT_N_THETA,
                              dt: float = DEFAULT_DT,
-                             method: str = "states") -> float:
-    """Equatorial-average gate fidelity for one driven qubit."""
+                             method: str = "channel") -> float:
+    """Equatorial-average gate fidelity for one driven qubit (channel route)."""
+    if method != "channel":
+        raise ValueError(f"unknown method {method!r}; only 'channel' is available")
     sampler, dim = _builder(model, pulse, anharmonicity, err)
     rates = rates or DecoherenceRates()
-    collapse = qubit_collapse(rates, dim)
+    evolved = evolve_lindblad(sampler, _channel_basis(dim), qubit_collapse(rates, dim),
+                              (0.0, pulse.tau), dt, hermitize=False).final
+    return float(_channel_fidelities(evolved, target, n_theta))
+
+
+def _channel_basis(dim: int) -> np.ndarray:
+    """The qubit-block matrices |a><b| (index 2a + b) embedded in dimension dim."""
+    basis = np.zeros((4, dim, dim), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            basis[2 * a + b, a, b] = 1.0
+    return basis
+
+
+def _channel_fidelities(evolved, target, n_theta: int):
+    """Trapezoid theta-average fidelity from the evolved basis (..., 4, d, d)."""
     kets2 = theta_kets(n_theta)
-    finals = kets2 @ np.asarray(target, dtype=complex).T
-
-    if method == "states":
-        kets = np.zeros((n_theta, dim), dtype=complex)
-        kets[:, :2] = kets2
-        rho0 = np.einsum("ni,nj->nij", kets, kets.conj())
-        rho = evolve_lindblad(sampler, rho0, collapse, (0.0, pulse.tau), dt).final
-        fin = np.zeros((n_theta, dim), dtype=complex)
-        fin[:, :2] = finals
-        f = np.einsum("ni,nij,nj->n", fin.conj(), rho, fin).real
-        return _trapezoid_mean(f)
-
-    if method == "channel":
-        basis = np.zeros((4, dim, dim), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                basis[2 * a + b, a, b] = 1.0
-        evolved = evolve_lindblad(sampler, basis, collapse, (0.0, pulse.tau), dt,
-                                  hermitize=False).final
-        fin = np.zeros((n_theta, dim), dtype=complex)
-        fin[:, :2] = finals
-        overlaps = np.einsum("ni,kij,nj->nk", fin.conj(), evolved, fin)
-        coeff = np.einsum("na,nb->nab", kets2, kets2).reshape(n_theta, 4)
-        f = np.einsum("nk,nk->n", coeff, overlaps).real
-        return _trapezoid_mean(f)
-
-    raise ValueError(f"unknown method {method!r}")
+    fin = np.zeros((n_theta, evolved.shape[-1]), dtype=complex)
+    fin[:, :2] = kets2 @ np.asarray(target, dtype=complex).T
+    overlaps = np.einsum("ni,...kij,nj->...nk", fin.conj(), evolved, fin)
+    coeff = np.einsum("na,nb->nab", kets2, kets2).reshape(n_theta, 4)
+    f = np.einsum("nk,...nk->...n", coeff, overlaps).real
+    w = np.ones(n_theta)
+    w[0] = w[-1] = 0.5
+    return (f @ w) / w.sum()
 
 
 def product_theta_kets(n_theta: int) -> np.ndarray:
@@ -292,44 +287,24 @@ class ScanResult:
 def _scan_chunk(pulse, target, axis, values, rates, n_theta, dt):
     """Channel-route fidelities for one variant over a chunk of error values.
 
-    All error points evolve together: the Hamiltonian grid gains a leading
-    point axis that broadcasts against the shared channel basis.  ``values``
-    is a 1-D array for a single axis, or (P, 2) (epsilon, delta) pairs.
+    All error points evolve together: the sampler gets the error values as
+    arrays, so the Hamiltonian grid gains a point axis that broadcasts
+    against the shared channel basis.  ``values`` is a 1-D array for a
+    single axis, or (P, 2) (epsilon, delta) pairs.
     """
     values = np.asarray(values, dtype=float)
-    P = len(values)
     if axis == "grid2d":
-        errs = [ErrorFractions(epsilon=e, delta=d) for e, d in values]
+        epsilon, delta = values[:, 0], values[:, 1]
     else:
-        errs = [ErrorFractions(epsilon=v if axis == "epsilon" else 0.0,
-                               delta=v if axis == "delta" else 0.0) for v in values]
-    base = two_level_hamiltonian(pulse)
+        epsilon, delta = (values, 0.0) if axis == "epsilon" else (0.0, values)
 
-    def stacked(ts):
-        H = base(ts)[:, None, None, :, :]
-        E = np.stack([_scan_error_terms(ts, pulse, e) for e in errs], axis=1)
-        return H + E[:, :, None, :, :]
+    def sampler(ts):
+        return _drive_hamiltonian(pulse, ts, epsilon, delta)[:, :, None]
 
-    basis = np.zeros((4, 2, 2), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            basis[2 * a + b, a, b] = 1.0
-    rho0 = np.broadcast_to(basis, (P, 4, 2, 2)).copy()
-    evolved = evolve_lindblad(stacked, rho0, qubit_collapse(rates, 2),
+    rho0 = np.broadcast_to(_channel_basis(2), (len(values), 4, 2, 2)).copy()
+    evolved = evolve_lindblad(sampler, rho0, qubit_collapse(rates, 2),
                               (0.0, pulse.tau), dt, hermitize=False).final
-    kets2 = theta_kets(n_theta)
-    finals = kets2 @ np.asarray(target, dtype=complex).T
-    overlaps = np.einsum("ni,pkij,nj->pnk", finals.conj(), evolved, finals)
-    coeff = np.einsum("na,nb->nab", kets2, kets2).reshape(n_theta, 4)
-    f = np.einsum("nk,pnk->pn", coeff, overlaps).real
-    w = np.ones(n_theta)
-    w[0] = w[-1] = 0.5
-    return (f @ w) / w.sum()
-
-
-def _scan_error_terms(ts, pulse, err):
-    from .dynamics import _error_terms
-    return _error_terms(ts, pulse, err, dim=2)
+    return _channel_fidelities(evolved, target, n_theta)
 
 
 def robustness_scan(variants: dict, axis: str, values=None,
@@ -339,25 +314,28 @@ def robustness_scan(variants: dict, axis: str, values=None,
     """Fidelity-versus-error curves for each gate variant.
 
     ``axis`` is "epsilon" (drive amplitude) or "delta" (detuning offset).
-    Points are evaluated independently; with ``workers > 1`` they fan out
-    over a process pool and are merged in index order.
+    Points are evaluated independently; with ``workers > 1`` every
+    (variant, chunk) task goes to one process pool and the chunks are
+    merged in index order.
     """
     if axis not in ("epsilon", "delta", "grid2d"):
         raise ValueError("axis must be 'epsilon', 'delta' or 'grid2d'")
     if values is None:
         values = np.linspace(-0.1, 0.1, 41)
     values = np.asarray(values, dtype=float)
+    _warn_if_out_of_range(values)
     rates = rates or DecoherenceRates()
-    fidelities = {}
-    for name, (pulse, target) in variants.items():
-        if workers <= 1 or len(values) < 2 * workers:
-            fidelities[name] = _scan_chunk(pulse, target, axis, values, rates, n_theta, dt)
-        else:
-            chunks = np.array_split(values, workers)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_scan_chunk, *zip(*[
-                    (pulse, target, axis, chunk, rates, n_theta, dt) for chunk in chunks])))
-            fidelities[name] = np.concatenate(parts)
+    if workers <= 1 or len(values) < 2 * workers:
+        fidelities = {name: _scan_chunk(pulse, target, axis, values, rates, n_theta, dt)
+                      for name, (pulse, target) in variants.items()}
+    else:
+        chunks = np.array_split(values, workers)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = {name: [pool.submit(_scan_chunk, pulse, target, axis, chunk, rates,
+                                          n_theta, dt) for chunk in chunks]
+                       for name, (pulse, target) in variants.items()}
+            fidelities = {name: np.concatenate([f.result() for f in parts])
+                          for name, parts in futures.items()}
     return ScanResult(axis=axis, values=values, fidelities=fidelities)
 
 

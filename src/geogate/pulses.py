@@ -121,12 +121,6 @@ class DrivePulse:
     def __len__(self):
         return len(self.t)
 
-    @property
-    def complex_drive(self) -> np.ndarray:
-        """Omega(t): corrected envelope when present, modulated by the phase."""
-        env = self.drag if self.drag is not None else self.omega.astype(complex)
-        return env * np.exp(1j * self.phase)
-
     def to_csv(self, path):
         drag = self.drag if self.drag is not None else np.zeros(len(self), dtype=complex)
         write_csv(path,

@@ -6,11 +6,18 @@ import sys
 import numpy as np
 import pytest
 
+import geogate
 from geogate.cli import config_hash, load_config, main
+
+# the directory holding the imported package, so that subprocesses started
+# in a temporary working directory import the same geogate
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(geogate.__file__)))
 
 
 def run_cli(args, tmp_path, env_extra=None):
     env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC_DIR] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     env.update(env_extra or {})
     return subprocess.run([sys.executable, "-m", "geogate.cli", *args],
                           capture_output=True, text=True, cwd=tmp_path, env=env)
@@ -111,6 +118,27 @@ class TestScan:
         assert a == b
         header = a.splitlines()[0]
         assert header == "epsilon_fraction,fidelity_geometric"
+
+
+    def test_printed_value_nearest_zero(self, tmp_path, capsys):
+        # with an even number of points no grid point sits at zero; the
+        # summary names the nearest one and prints its CSV fidelity
+        cfg = write_config(tmp_path, "scan_even.json", {
+            "gate": "pi8", "n_theta": 51, "dt_ns": 0.05, "workers": 1,
+            "scan": {"axis": "delta", "points": 8, "variants": ["geometric"]},
+            "out_dir": str(tmp_path / "even"),
+        })
+        assert main(["scan", "--config", cfg]) == 0
+        line = [l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("delta geometric:")][0]
+        label, printed = line.split()[-1].split("=")
+        point = float(label[2:-1])
+        rows = [[float(v) for v in l.split(",")] for l in
+                (tmp_path / "even" / "scan_pi8_delta.csv").read_text().splitlines()[1:]]
+        nearest = min(rows, key=lambda r: abs(r[0]))
+        assert point == pytest.approx(nearest[0], abs=1e-6)
+        assert abs(nearest[0]) > 0.01
+        assert float(printed) == pytest.approx(nearest[1], abs=5e-7)
 
 
 class TestTwoQubit:

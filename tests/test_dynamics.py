@@ -7,13 +7,11 @@ from scipy.special import j1 as scipy_j1
 from geogate.dynamics import (
     ConvergenceError,
     DecoherenceRates,
-    DensityMatrix,
     ErrorFractions,
     TransmonParams,
     aux_states,
     build_two_qubit_drive,
     effective_two_qubit_hamiltonian,
-    error_inject,
     eta_waveform,
     evolve_lindblad,
     evolve_schrodinger,
@@ -44,6 +42,12 @@ RATES = DecoherenceRates(gamma_decay=TWO_PI * 3e-6, kappa_dephase=TWO_PI * 3e-6)
 ANH = TWO_PI * 0.220
 
 
+def ket_dm(ket):
+    ket = np.asarray(ket, dtype=complex)
+    ket = ket / np.linalg.norm(ket)
+    return np.outer(ket, ket.conj())
+
+
 def zero_hamiltonian(dim):
     def sample(ts):
         ts = np.asarray(ts, dtype=float)
@@ -51,26 +55,9 @@ def zero_hamiltonian(dim):
     return sample
 
 
-class TestDensityMatrix:
-    def test_from_ket_valid(self):
-        dm = DensityMatrix.from_ket([1.0, 1.0])
-        dm.validate()
-        assert dm.dim == 2
-        assert dm.matrix[0, 1] == pytest.approx(0.5)
-
-    def test_invalid_trace(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.diag([0.7, 0.7]).astype(complex)).validate()
-
-    def test_invalid_hermiticity(self):
-        m = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
-        with pytest.raises(ValueError):
-            DensityMatrix(m).validate()
-
-
 class TestLindbladBasics:
     def test_free_evolution_is_identity(self):
-        rho0 = DensityMatrix.from_ket([1.0, 1.0j]).matrix
+        rho0 = ket_dm([1.0, 1.0j])
         res = evolve_lindblad(zero_hamiltonian(2), rho0, [], (0.0, 5.0), dt=0.01)
         assert np.allclose(res.final, rho0, atol=1e-14)
 
@@ -89,7 +76,7 @@ class TestLindbladBasics:
     def test_dephasing_closed_form(self):
         # (kappa/2) L(sigma_z) damps coherences at rate 2 kappa
         kappa = 1e-4
-        rho0 = DensityMatrix.from_ket([1.0, 1.0]).matrix
+        rho0 = ket_dm([1.0, 1.0])
         t_end = 30.0
         res = evolve_lindblad(zero_hamiltonian(2), rho0,
                               qubit_collapse(DecoherenceRates(kappa_dephase=kappa)),
@@ -100,7 +87,7 @@ class TestLindbladBasics:
     def test_trace_and_hermiticity_preserved(self):
         pulse = synthesize(CATALOG["pi8"])
         sampler = two_level_hamiltonian(pulse)
-        rho0 = DensityMatrix.from_ket([1.0, 0.5]).matrix
+        rho0 = ket_dm([1.0, 0.5])
         res = evolve_lindblad(sampler, rho0, qubit_collapse(RATES), (0.0, pulse.tau), dt=0.005)
         assert abs(np.trace(res.final).real - 1.0) < 1e-8
         assert np.abs(res.final - res.final.conj().T).max() < 1e-12
@@ -121,20 +108,20 @@ class TestLindbladBasics:
     def test_convergence_guard_passes_for_fine_dt(self):
         pulse = synthesize(CATALOG["pi8"], grid_points=801)
         sampler = two_level_hamiltonian(pulse)
-        rho0 = DensityMatrix.from_ket([1.0, 1.0]).matrix
+        rho0 = ket_dm([1.0, 1.0])
         evolve_lindblad(sampler, rho0, qubit_collapse(RATES), (0.0, pulse.tau),
                         dt=0.01, check_convergence=True)
 
     def test_convergence_guard_rejects_coarse_dt(self):
         pulse = synthesize(CATALOG["pi8"], grid_points=801)
         sampler = two_level_hamiltonian(pulse)
-        rho0 = DensityMatrix.from_ket([1.0, 1.0]).matrix
+        rho0 = ket_dm([1.0, 1.0])
         with pytest.raises(ConvergenceError):
             evolve_lindblad(sampler, rho0, qubit_collapse(RATES), (0.0, pulse.tau),
                             dt=3.0, check_convergence=True)
 
     def test_recorded_trajectory_endpoints(self):
-        rho0 = DensityMatrix.from_ket([0.0, 1.0]).matrix
+        rho0 = ket_dm([0.0, 1.0])
         res = evolve_lindblad(zero_hamiltonian(2), rho0,
                               qubit_collapse(DecoherenceRates(gamma_decay=1e-3)),
                               (0.0, 10.0), dt=0.1, record_stride=10)
@@ -166,26 +153,23 @@ class TestSchrodinger:
 class TestErrorInjection:
     def test_zero_errors_identity(self):
         pulse = synthesize(CATALOG["pi8"], grid_points=401)
-        base = two_level_hamiltonian(pulse)
-        wrapped = error_inject(base, ErrorFractions(), pulse)
         ts = np.linspace(0, pulse.tau, 7)
-        assert np.allclose(wrapped(ts), base(ts), atol=1e-15)
+        H0 = two_level_hamiltonian(pulse)(ts)
+        assert np.array_equal(two_level_hamiltonian(pulse, ErrorFractions())(ts), H0)
 
     def test_epsilon_scales_drive(self):
         pulse = synthesize(CATALOG["pi8"], grid_points=401)
-        base = two_level_hamiltonian(pulse)
-        wrapped = error_inject(base, ErrorFractions(epsilon=0.1), pulse)
         ts = np.linspace(0, pulse.tau, 7)
-        H0, H1 = base(ts), wrapped(ts)
+        H0 = two_level_hamiltonian(pulse)(ts)
+        H1 = two_level_hamiltonian(pulse, ErrorFractions(epsilon=0.1))(ts)
         assert np.allclose(H1[..., 1, 0], 1.1 * H0[..., 1, 0], atol=1e-15)
         assert np.allclose(H1[..., 0, 0], H0[..., 0, 0], atol=1e-15)
 
     def test_delta_offsets_splitting(self):
         pulse = synthesize(CATALOG["pi8"], grid_points=401)
-        base = two_level_hamiltonian(pulse)
-        wrapped = error_inject(base, ErrorFractions(delta=-0.1), pulse)
         ts = np.array([0.0, pulse.tau / 3])
-        dH = wrapped(ts) - base(ts)
+        dH = (two_level_hamiltonian(pulse, ErrorFractions(delta=-0.1))(ts)
+              - two_level_hamiltonian(pulse)(ts))
         assert np.allclose(dH[..., 1, 1], -0.05 * pulse.omega0, atol=1e-15)
         assert np.allclose(dH[..., 0, 0], +0.05 * pulse.omega0, atol=1e-15)
 
@@ -208,14 +192,26 @@ class TestThreeLevel:
     def test_qubit_block_matches_two_level(self):
         pulse = drag_correct(synthesize(CATALOG["pi8"], grid_points=801), ANH)
         ts = np.linspace(0, pulse.tau, 9)
-        H3 = three_level_hamiltonian(pulse, ANH)(ts)
-        H2 = two_level_hamiltonian(pulse)(ts)
-        # same drive magnitude; representations differ by the frame phase
-        assert np.allclose(np.abs(H3[..., 0, 1]), np.abs(H2[..., 0, 1]), atol=1e-14)
-        assert np.allclose(H3[..., 0, 0], H2[..., 0, 0], atol=1e-14)
-        assert np.allclose(H3[..., 1, 1], H2[..., 1, 1], atol=1e-14)
-        assert np.allclose(np.abs(H3[..., 1, 2]), math.sqrt(2) * np.abs(H2[..., 0, 1]),
-                           atol=1e-14)
+        err = ErrorFractions(epsilon=0.05, delta=-0.03)
+        for e in (None, err):
+            H3 = three_level_hamiltonian(pulse, ANH, e)(ts)
+            H2 = two_level_hamiltonian(pulse, e)(ts)
+            assert np.array_equal(H3[..., :2, :2], H2)
+            assert np.array_equal(H3[..., 2, 1], math.sqrt(2) * H2[..., 1, 0])
+            assert np.array_equal(H3[..., 1, 2], np.conj(H3[..., 2, 1]))
+            assert np.array_equal(H3[..., 2, 2], 3 * H2[..., 1, 1] - ANH)
+
+    def test_drive_element_convention(self):
+        # |1><0| carries conj(drag) exp(i phi) / 2; on the pulse grid the
+        # interpolation is exact
+        pulse = drag_correct(synthesize(CATALOG["pi8"], grid_points=801), ANH)
+        idx = np.arange(0, len(pulse), 50)
+        expected = np.conj(pulse.drag[idx]) * np.exp(1j * pulse.phase[idx]) / 2
+        for H in (two_level_hamiltonian(pulse)(pulse.t[idx]),
+                  three_level_hamiltonian(pulse, ANH)(pulse.t[idx])):
+            assert np.allclose(H[..., 1, 0], expected, rtol=0, atol=1e-15)
+            assert np.allclose(H[..., 0, 1], np.conj(expected), rtol=0, atol=1e-15)
+        assert np.abs(pulse.drag[idx].imag).max() > 1e-3 * pulse.omega0
 
     def test_leakage_stays_small_with_correction(self):
         pulse = drag_correct(synthesize(CATALOG["pi8"]), ANH)
@@ -258,14 +254,21 @@ class TestParallelTransport:
     def test_accumulated_frame_phases(self, name):
         # both auxiliary states end with opposite phases equal in
         # magnitude to the loop phase
-        from geogate.dynamics import evolution_frame
         spec = CATALOG[name]
         traj = sample_trajectory(spec, default_schedule(spec))
         pulse = synthesize(spec)
-        frame = evolution_frame(traj, pulse, dt=0.002)
-        assert frame.gamma_plus[0] == pytest.approx(0.0, abs=1e-12)
-        assert frame.gamma_plus[-1] == pytest.approx(-spec.gamma_g, abs=1e-5)
-        assert frame.gamma_minus[-1] == pytest.approx(+spec.gamma_g, abs=1e-5)
+        psi0 = np.stack(aux_states(traj.alpha[0], traj.beta[0]))
+        res = evolve_schrodinger(two_level_hamiltonian(pulse), psi0, (0.0, pulse.tau),
+                                 dt=0.002, record_stride=100)
+        s_grid = res.times / pulse.tau
+        alpha = np.interp(s_grid, traj.s, traj.alpha)
+        beta = np.interp(s_grid, traj.s, traj.beta)
+        refs = np.stack([np.stack(aux_states(a, b)) for a, b in zip(alpha, beta)])
+        overlaps = np.einsum("tni,tni->tn", refs.conj(), res.states)
+        phases = np.unwrap(np.angle(overlaps), axis=0)
+        assert phases[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert phases[-1, 0] == pytest.approx(-spec.gamma_g, abs=1e-5)
+        assert phases[-1, 1] == pytest.approx(+spec.gamma_g, abs=1e-5)
 
 
 def paper_params():

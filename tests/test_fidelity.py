@@ -1,10 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from geogate.dynamics import DecoherenceRates, ErrorFractions, TransmonParams, build_two_qubit_drive
+from geogate.dynamics import (
+    DecoherenceRates,
+    ErrorFractions,
+    TransmonParams,
+    build_two_qubit_drive,
+    evolve_lindblad,
+    qubit_collapse,
+    two_level_hamiltonian,
+)
 from geogate.fidelity import (
     FidelityTrace,
     average_gate_fidelity_1q,
@@ -67,13 +76,28 @@ class TestAverageGateFidelity1q:
         assert f >= 0.99999
 
     def test_channel_route_matches_states_route(self):
+        # reference: evolve every theta state and average by the trapezoid rule
         pulse = synthesize(CATALOG["hadamard"], grid_points=1001)
         target = target_unitary(CATALOG["hadamard"])
-        kwargs = dict(rates=RATES, err=ErrorFractions(epsilon=0.05),
-                      n_theta=101, dt=0.01)
-        f_states = average_gate_fidelity_1q(pulse, target, method="states", **kwargs)
-        f_channel = average_gate_fidelity_1q(pulse, target, method="channel", **kwargs)
+        err = ErrorFractions(epsilon=0.05)
+        n_theta = 101
+        kets = theta_kets(n_theta).astype(complex)
+        rho0 = np.einsum("ni,nj->nij", kets, kets.conj())
+        rho = evolve_lindblad(two_level_hamiltonian(pulse, err), rho0, qubit_collapse(RATES),
+                              (0.0, pulse.tau), dt=0.01).final
+        finals = kets @ target.T
+        f = np.einsum("ni,nij,nj->n", finals.conj(), rho, finals).real
+        w = np.ones(n_theta)
+        w[0] = w[-1] = 0.5
+        f_states = float(np.sum(f * w) / np.sum(w))
+        f_channel = average_gate_fidelity_1q(pulse, target, rates=RATES, err=err,
+                                             n_theta=n_theta, dt=0.01)
         assert f_channel == pytest.approx(f_states, abs=1e-12)
+
+    def test_only_channel_method(self):
+        pulse = synthesize(CATALOG["pi8"], grid_points=201)
+        with pytest.raises(ValueError):
+            average_gate_fidelity_1q(pulse, target_unitary(CATALOG["pi8"]), method="states")
 
     def test_theta_count_stability(self):
         pulse = synthesize(CATALOG["pi8"], grid_points=1001)
@@ -91,6 +115,30 @@ class TestAverageGateFidelity1q:
                                      err=ErrorFractions(epsilon=0.1, delta=-0.1),
                                      n_theta=101, dt=0.01)
         assert 0.0 <= f <= 1.0 + 1e-9
+
+
+class TestDriveConvention:
+    KW = dict(model="three_level", anharmonicity=ANH, rates=RATES, n_theta=51, dt=0.01)
+
+    def test_epsilon_scales_applied_drag_drive(self):
+        # the amplitude error acts on the drive the transmon actually sees
+        spec = CATALOG["pi8"]
+        pulse = drag_correct(synthesize(spec), ANH)
+        f_err = average_gate_fidelity_1q(pulse, target_unitary(spec),
+                                         err=ErrorFractions(epsilon=0.1), **self.KW)
+        scaled = replace(pulse, omega=1.1 * pulse.omega, drag=1.1 * pulse.drag)
+        f_scaled = average_gate_fidelity_1q(scaled, target_unitary(spec), **self.KW)
+        assert f_err == pytest.approx(f_scaled, abs=1e-12)
+
+    def test_drag_quadrature_sign(self):
+        # flipping the DRAG quadrature on |1><0| costs three parts in a thousand
+        spec = CATALOG["pi8"]
+        pulse = drag_correct(synthesize(spec), ANH)
+        f = average_gate_fidelity_1q(pulse, target_unitary(spec), **self.KW)
+        flipped = replace(pulse, drag=np.conj(pulse.drag))
+        f_flipped = average_gate_fidelity_1q(flipped, target_unitary(spec), **self.KW)
+        assert f == pytest.approx(0.999490, abs=1e-6)
+        assert f_flipped == pytest.approx(0.996404, abs=1e-6)
 
 
 class TestComparators:
@@ -151,14 +199,15 @@ class TestRobustnessScan:
                            bwd.fidelities["geometric"][::-1], atol=1e-13)
 
     def test_parallel_matches_serial(self):
-        variants = gate_variants("pi8", include=("geometric",))
+        variants = gate_variants("pi8")
         values = np.linspace(-0.1, 0.1, 8)
         serial = robustness_scan(variants, "epsilon", values, rates=RATES,
                                  n_theta=101, dt=0.02, workers=1)
         parallel = robustness_scan(variants, "epsilon", values, rates=RATES,
                                    n_theta=101, dt=0.02, workers=2)
-        assert np.allclose(serial.fidelities["geometric"],
-                           parallel.fidelities["geometric"], atol=1e-15)
+        assert list(parallel.fidelities) == ["geometric", "geometric_po", "dynamical"]
+        for name in variants:
+            assert np.allclose(serial.fidelities[name], parallel.fidelities[name], atol=1e-15)
 
     def test_curve_single_peaked_near_zero(self):
         variants = gate_variants("pi8", include=("geometric",))
