@@ -8,7 +8,6 @@ models, and benchmarks durations, fidelities and error robustness.
 from .paths import (
     BetaSchedule,
     PathKind,
-    PathPoint,
     PathSpec,
     PathTrajectory,
     ScheduleBase,
@@ -16,7 +15,6 @@ from .paths import (
     alpha_of_beta,
     beta_schedule,
     circle_constant,
-    closure_distance,
     geometric_phase,
     hadamard_alpha_of_beta,
     path_length,
@@ -31,7 +29,6 @@ from .pulses import (
     DrivePulse,
     GateCatalog,
     default_schedule,
-    detuning_of,
     drag_correct,
     normalize_duration,
     rabi_envelope,

@@ -10,16 +10,26 @@ for loops through the north pole, and through the implicit constraint
 
     2 sin(pi/12) sin(alpha) cos(beta) - 2 cos(pi/12) cos(alpha) + 1 = 0
 
-for the Hadamard loop that starts at (pi/4, 0).  The azimuth schedule
-(``BetaSchedule``) fixes how fast the loop is traversed and carries the
-optional sine-series correction terms used to reshape the drive envelope.
+for the Hadamard loop that starts at (pi/4, 0).  That constraint reads
+A sin(alpha) + B cos(alpha) = -1 with A = 2 sin(pi/12) cos(beta) and
+B = -2 cos(pi/12), so with R = hypot(A, B) >= 2 cos(pi/12) > 1 it has the
+closed-form root
+
+    alpha = pi - atan2(A, 2 cos(pi/12)) - arccos(-1/R),
+
+the only root in (0, pi/2) at any azimuth: the other root, with
+psi = atan2(A, -B) in [-pi/12, pi/12], is -psi - arccos(1/R) < 0.
+
+The azimuth schedule (``BetaSchedule``) fixes how fast the loop is
+traversed and carries the optional sine-series correction terms used to
+reshape the drive envelope.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
@@ -31,10 +41,6 @@ DEFAULT_GRID_POINTS = 4001
 
 # window slop for folding float noise at the schedule endpoints
 _WINDOW_TOL = 1e-12
-
-
-class ConvergenceError(RuntimeError):
-    """Root refinement failed to reach the requested residual."""
 
 
 class PathKind(enum.Enum):
@@ -74,29 +80,16 @@ class BetaSchedule:
     """Azimuth schedule: base profile plus sine-series corrections.
 
     The corrections vanish at s = 0 and s = 1, so the endpoints always
-    match the base profile exactly.  ``tau`` is filled in once the
-    duration has been normalized against an amplitude budget.
+    match the base profile exactly.
     """
 
     base: ScheduleBase
     coeffs: tuple = ()
-    tau: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(a) for a in self.coeffs))
         if len(self.coeffs) > 3:
             raise ValueError("at most three correction coefficients are supported")
-
-    def with_tau(self, tau: float) -> "BetaSchedule":
-        return replace(self, tau=float(tau))
-
-
-@dataclass(frozen=True)
-class PathPoint:
-    alpha: float
-    beta: float
-    dalpha_ds: float
-    dbeta_ds: float
 
 
 @dataclass(frozen=True)
@@ -113,13 +106,6 @@ class PathTrajectory:
 
     def __len__(self):
         return len(self.s)
-
-    def point(self, i: int) -> PathPoint:
-        return PathPoint(self.alpha[i], self.beta[i], self.dalpha_ds[i], self.dbeta_ds[i])
-
-    @property
-    def samples(self):
-        return [self.point(i) for i in range(len(self))]
 
 
 def circle_constant(gamma_g: float) -> float:
@@ -153,42 +139,24 @@ def alpha_of_beta(gamma_g: float, beta):
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
-def _hadamard_residual(alpha, beta):
-    return (2 * SIN_PI_12 * np.sin(alpha) * np.cos(beta)
-            - 2 * COS_PI_12 * np.cos(alpha) + 1.0)
-
-
-def _hadamard_residual_dalpha(alpha, beta):
-    return 2 * SIN_PI_12 * np.cos(alpha) * np.cos(beta) + 2 * COS_PI_12 * np.sin(alpha)
-
-
-def hadamard_alpha_of_beta(beta, tol: float = 1e-12):
+def hadamard_alpha_of_beta(beta):
     """Polar angle of the Hadamard loop at azimuth ``beta``.
 
-    The constraint has a single root in (0, pi/2) for every azimuth; that
-    root is the branch continuous with alpha(0) = pi/4.  Bracketed
-    bisection is refined with Newton steps until the constraint residual
-    falls below ``tol``.
+    The constraint is A sin(alpha) + B cos(alpha) = -1 with
+    A = 2 sin(pi/12) cos(beta) and B = -2 cos(pi/12).  Writing A = R sin(psi)
+    and -B = R cos(psi) turns it into cos(alpha + psi) = 1/R, and
+    R >= 2 cos(pi/12) > 1 keeps 1/R below 1, so a root exists for every
+    azimuth.  The roots are alpha = -psi +- arccos(1/R) (mod 2 pi).  Since
+    |psi| <= pi/12 and arccos(1/R) lies in [1.02, pi/3], the minus root is
+    negative (above pi once wrapped), so the branch in (0, pi/2) is unique:
+    alpha = arccos(1/R) - psi = pi - psi - arccos(-1/R), which runs from
+    alpha(0) = pi/4 to alpha(pi) = 5 pi/12.
     """
     beta = np.asarray(beta, dtype=float)
-    scalar = beta.ndim == 0
-    b = np.atleast_1d(beta)
-
-    lo = np.zeros_like(b)
-    hi = np.full_like(b, math.pi / 2)
-    # residual is negative at 0 and positive at pi/2 for all beta
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        neg = _hadamard_residual(mid, b) < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    alpha = 0.5 * (lo + hi)
-    for _ in range(3):
-        alpha = alpha - _hadamard_residual(alpha, b) / _hadamard_residual_dalpha(alpha, b)
-    res = np.abs(_hadamard_residual(alpha, b))
-    if np.any(res > tol):
-        raise ConvergenceError(f"constraint residual {res.max():.3e} above {tol:.1e}")
-    return float(alpha[0]) if scalar else alpha
+    a = 2 * SIN_PI_12 * np.cos(beta)
+    alpha = (math.pi - np.arctan2(a, 2 * COS_PI_12)
+             - np.arccos(-1.0 / np.hypot(a, 2 * COS_PI_12)))
+    return float(alpha) if alpha.ndim == 0 else alpha
 
 
 def hadamard_dalpha_dbeta(alpha, beta):
@@ -257,15 +225,6 @@ def trajectory_from_samples(spec: PathSpec, s, alpha, beta, dalpha_ds, dbeta_ds)
     """Wrap externally constructed samples (comparison loops, ad-hoc paths)."""
     arrays = [np.asarray(a, dtype=float) for a in (s, alpha, beta, dalpha_ds, dbeta_ds)]
     return PathTrajectory(spec, None, *arrays)
-
-
-def closure_distance(traj: PathTrajectory) -> float:
-    """Great-circle distance between the first and last samples."""
-    a0, b0 = traj.alpha[0], traj.beta[0]
-    a1, b1 = traj.alpha[-1], traj.beta[-1]
-    cosd = (math.cos(a0) * math.cos(a1)
-            + math.sin(a0) * math.sin(a1) * math.cos(b1 - b0))
-    return math.acos(min(1.0, max(-1.0, cosd)))
 
 
 def geometric_phase(traj: PathTrajectory) -> float:

@@ -32,7 +32,6 @@ from .paths import (
     PathKind,
     PathSpec,
     PathTrajectory,
-    PathPoint,
     ScheduleBase,
     sample_trajectory,
 )
@@ -138,13 +137,6 @@ def dimensionless_envelope(traj: PathTrajectory) -> np.ndarray:
 def normalize_duration(traj: PathTrajectory, budget: AmplitudeBudget = DEFAULT_BUDGET) -> float:
     """Duration (ns) at which the envelope peaks exactly at the budget."""
     return float(dimensionless_envelope(traj).max() / budget.omega0)
-
-
-def detuning_of(point: PathPoint, tau: float) -> float:
-    """Instantaneous detuning -beta_dot sin^2(alpha) at one sample."""
-    if tau <= 0:
-        raise ValueError("duration must be positive")
-    return -(point.dbeta_ds / tau) * math.sin(point.alpha) ** 2
 
 
 def rabi_envelope(traj: PathTrajectory, tau: float):

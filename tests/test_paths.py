@@ -6,7 +6,6 @@ from scipy.optimize import brentq
 
 from geogate.paths import (
     BetaSchedule,
-    ConvergenceError,
     PathKind,
     PathSpec,
     ScheduleBase,
@@ -14,7 +13,6 @@ from geogate.paths import (
     alpha_of_beta,
     beta_schedule,
     circle_constant,
-    closure_distance,
     geometric_phase,
     hadamard_alpha_of_beta,
     path_length,
@@ -27,6 +25,18 @@ PHASE = PathSpec(math.pi / 4, 0.0, math.pi / 2, PathKind.POLE_START)
 HADAMARD = PathSpec(math.pi / 2, math.pi / 4, 0.0, PathKind.HADAMARD_START)
 HALF = BetaSchedule(ScheduleBase.HALF_TURN)
 FULL = BetaSchedule(ScheduleBase.FULL_TURN)
+
+
+def great_circle_distance(traj):
+    """Angle between the first and last samples of a loop."""
+    a0, b0, a1, b1 = traj.alpha[0], traj.beta[0], traj.alpha[-1], traj.beta[-1]
+    cosd = math.cos(a0) * math.cos(a1) + math.sin(a0) * math.sin(a1) * math.cos(b1 - b0)
+    return math.acos(min(1.0, max(-1.0, cosd)))
+
+
+def hadamard_residual(alpha, beta):
+    return (2 * math.sin(math.pi / 12) * np.sin(alpha) * np.cos(beta)
+            - 2 * math.cos(math.pi / 12) * np.cos(alpha) + 1.0)
 
 
 def hadamard_alpha_closed_form(beta):
@@ -114,16 +124,19 @@ class TestHadamardAlpha:
 
     def test_residual_below_tolerance(self):
         beta = np.linspace(0.0, 2 * math.pi, 211)
-        alpha = hadamard_alpha_of_beta(beta)
-        res = (2 * math.sin(math.pi / 12) * np.sin(alpha) * np.cos(beta)
-               - 2 * math.cos(math.pi / 12) * np.cos(alpha) + 1.0)
-        assert np.abs(res).max() < 1e-12
+        assert np.abs(hadamard_residual(hadamard_alpha_of_beta(beta), beta)).max() < 1e-12
 
-    def test_unreachable_tolerance_raises(self):
-        # float arithmetic leaves residuals of a few ULP on a dense grid;
-        # a sub-ULP tolerance must be reported as a convergence failure
-        with pytest.raises(ConvergenceError):
-            hadamard_alpha_of_beta(np.linspace(0.1, 6.2, 100), tol=1e-17)
+    def test_dense_branch_in_open_quarter_and_periodic(self):
+        beta = np.linspace(0.0, 2 * math.pi, 40001)
+        alpha = hadamard_alpha_of_beta(beta)
+        assert np.abs(hadamard_residual(alpha, beta)).max() <= 1e-14
+        assert np.all((alpha > 0.0) & (alpha < math.pi / 2))
+        assert alpha[-1] == alpha[0]
+
+    def test_scalar_returns_float(self):
+        alpha = hadamard_alpha_of_beta(0.3)
+        assert type(alpha) is float
+        assert alpha == pytest.approx(hadamard_alpha_of_beta(np.array([0.3]))[0], abs=1e-15)
 
 
 class TestBetaSchedule:
@@ -187,7 +200,7 @@ class TestSampleTrajectory:
     def test_hadamard_closure_through_start(self):
         traj = sample_trajectory(HADAMARD, FULL, 1001)
         assert traj.alpha[0] == pytest.approx(math.pi / 4, abs=1e-12)
-        assert closure_distance(traj) < 1e-9
+        assert great_circle_distance(traj) < 1e-9
 
     def test_two_point_degenerate(self):
         traj = sample_trajectory(PHASE, HALF, 2)
@@ -198,7 +211,7 @@ class TestSampleTrajectory:
     def test_closure_all_catalog(self):
         for spec, sched in ((PI8, HALF), (PHASE, HALF), (HADAMARD, FULL)):
             traj = sample_trajectory(spec, sched, 801)
-            assert closure_distance(traj) < 1e-9
+            assert great_circle_distance(traj) < 1e-9
 
     def test_mismatched_pairing(self):
         with pytest.raises(ValueError):

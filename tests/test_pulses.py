@@ -16,7 +16,6 @@ from geogate.pulses import (
     composite_drive_pulse,
     constant_drive_pulse,
     default_schedule,
-    detuning_of,
     dimensionless_envelope,
     drag_correct,
     normalize_duration,
@@ -53,36 +52,43 @@ class TestCatalog:
 
 
 class TestDetuning:
+    """``synthesize`` sets the detuning to -beta_dot sin^2(alpha) / tau."""
+
     def test_zero_at_pole(self):
-        traj = sample_trajectory(CATALOG["pi8"], default_schedule(CATALOG["pi8"]), 101)
-        assert detuning_of(traj.point(0), 19.66) == pytest.approx(0.0, abs=1e-12)
+        pulse = synthesize(CATALOG["pi8"], grid_points=101)
+        assert pulse.delta[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_midpoint_value_composed_from_parts(self):
         # at s = 1/2 the half-turn derivative is pi^2/2 and alpha = alpha_max;
         # cross-check the sampled derivative against finite differences
         from geogate.paths import alpha_max, beta_schedule
-        tau = 19.66
+        pulse = synthesize(CATALOG["pi8"], grid_points=4001)
         traj = sample_trajectory(CATALOG["pi8"], default_schedule(CATALOG["pi8"]), 4001)
+        tau = pulse.tau
         mid = len(traj) // 2
         expected = -(math.pi**2 / 2 / tau) * math.sin(alpha_max(math.pi / 8)) ** 2
-        assert detuning_of(traj.point(mid), tau) == pytest.approx(expected, rel=1e-10)
+        assert pulse.delta[mid] == pytest.approx(expected, rel=1e-10)
+        assert pulse.delta == pytest.approx(-(traj.dbeta_ds / tau) * np.sin(traj.alpha) ** 2,
+                                            rel=1e-15, abs=1e-15)
 
         h = 1e-6
         bp, _ = beta_schedule(0.5 + h, traj.schedule)
         bm, _ = beta_schedule(0.5 - h, traj.schedule)
         fd = (bp - bm) / (2 * h)
         assert -(fd / tau) * math.sin(traj.alpha[mid]) ** 2 == pytest.approx(
-            detuning_of(traj.point(mid), tau), rel=1e-8)
+            pulse.delta[mid], rel=1e-8)
 
     def test_hadamard_endpoints_zero(self):
-        traj = sample_trajectory(CATALOG["hadamard"], default_schedule(CATALOG["hadamard"]), 101)
-        assert detuning_of(traj.point(0), 23.49) == pytest.approx(0.0, abs=1e-12)
-        assert detuning_of(traj.point(100), 23.49) == pytest.approx(0.0, abs=1e-9)
+        pulse = synthesize(CATALOG["hadamard"], grid_points=101)
+        assert pulse.delta[0] == pytest.approx(0.0, abs=1e-12)
+        assert pulse.delta[-1] == pytest.approx(0.0, abs=1e-9)
 
     def test_bad_tau(self):
-        traj = sample_trajectory(CATALOG["pi8"], default_schedule(CATALOG["pi8"]), 3)
-        with pytest.raises(ValueError):
-            detuning_of(traj.point(0), 0.0)
+        # the duration is the peak envelope over the budget, so it can only
+        # be non-positive through a non-positive budget, which is refused
+        for omega0 in (0.0, -DEFAULT_BUDGET.omega0):
+            with pytest.raises(ValueError):
+                synthesize(CATALOG["pi8"], budget=AmplitudeBudget(omega0), grid_points=3)
 
 
 class TestRabiEnvelope:
