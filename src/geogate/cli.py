@@ -72,15 +72,6 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def resolve_workers(config: dict) -> int:
-    env = os.environ.get("GG_THREADS")
-    if env:
-        return max(1, int(env))
-    if config.get("workers"):
-        return max(1, int(config["workers"]))
-    return os.cpu_count() or 1
-
-
 def write_manifest(out_dir, command, config, seed, outputs):
     manifest = {
         "command": command,
@@ -206,7 +197,6 @@ def cmd_scan(args) -> int:
     include = tuple(scan_cfg.get("variants", ("geometric", "geometric_po", "dynamical")))
     style = scan_cfg.get("comparator_style", "canonical")
     rates = _rates(config)
-    workers = resolve_workers(config)
     variants = gate_variants(gate, _budget(config, args), include, style)
     values = np.linspace(lo, hi, n_points)
     out_dir = _out_dir(config, args)
@@ -216,7 +206,7 @@ def cmd_scan(args) -> int:
     for axis in axes:
         scan = robustness_scan(variants, axis, values, rates=rates,
                                n_theta=config.get("n_theta", 1001),
-                               dt=_dt(config, args, default=0.01), workers=workers)
+                               dt=_dt(config, args, default=0.01))
         out = os.path.join(out_dir, f"scan_{gate}_{axis}.csv")
         scan.to_csv(out)
         outputs.append(out)

@@ -1,6 +1,6 @@
 """Closed- and open-system time evolution for the gate models.
 
-Four models share one fixed-step RK4 core:
+Four models share one fixed-step RK4 core (see "Integrator" below):
 
 * two-level qubit driven by a synthesized pulse,
 * three-level transmon with the second excited state as leakage target,
@@ -29,10 +29,24 @@ detuning error delta offsetting Delta by a fraction of the amplitude budget
 omega0.  The three-level transmon adds only the |2> row and column:
 H[2,2] = 3 Delta_e / 2 - anharmonicity and H[2,1] = sqrt(2) H[1,0].
 
-Hamiltonian samplers are vectorized callables ``H(ts) -> (len(ts), d, d)``;
-the integrator evaluates them once on its half-step grid.  Batched density
-matrices (leading batch axes) evolve simultaneously through numpy
-broadcasting.
+Hamiltonian samplers are vectorized callables ``H(ts) -> (len(ts), d, d)``,
+optionally with batch axes after the time axis; the integrator evaluates
+them once on its half-step grid.  Batched states (leading batch axes)
+evolve simultaneously through numpy broadcasting.
+
+Integrator.  Both equations are linear, y' = A(t) y, so one RK4 formula
+(``_rk4_increment``) serves both: A = -iH for kets, and for density
+matrices the Liouvillian in row-major vec form, vec(X rho Y) =
+(X kron Y^T) vec(rho), i.e. A = -i (H kron I - I kron H^T) + D with the
+dissipator D built once per call.  Generators are built per chunk of steps
+under a fixed byte budget.  Up to dimension 16 (two- and three-level
+density matrices, kets up to nine levels, scans with their point axis) the
+formula applied to the identity gives every step map of a chunk at once,
+held as its difference from the identity; a pairwise tree product
+composes them and the product acts on the states.
+Chunks hold whole record intervals, so recorded states come from running
+products of the interval maps.  Larger generators (the nine-level density
+matrix, 81 x 81) step the state columns with the same formula instead.
 """
 
 from __future__ import annotations
@@ -49,6 +63,9 @@ from .paths import PathTrajectory
 from .pulses import DrivePulse
 
 DEFAULT_DT = 0.001  # ns
+_CHUNK_BYTES = 1 << 17   # bytes of generator samples built at once
+_COMPOSE_MAX_DIM = 16    # larger generators step the states instead of building step maps
+_BLOCK = 8               # state columns per product when stepping
 
 
 class ConvergenceError(RuntimeError):
@@ -341,9 +358,129 @@ class EvolutionResult:
         return self.states[-1] if self.recorded else self.states
 
 
+def _rk4_increment(A1, A2, A3, Y, h):
+    """Y(t + h) - Y(t) of one classical RK4 step of Y' = A(t) Y.
+
+    A1, A2, A3 are A at t, t + h/2 and t + h.  With Y the identity the
+    result is the step map minus the identity.
+    """
+    k1 = A1 @ Y
+    k2 = A2 @ (Y + 0.5 * h * k1)
+    k3 = A2 @ (Y + 0.5 * h * k2)
+    k4 = A3 @ (Y + h * k3)
+    return (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _then(E2, E1):
+    """(I + E2)(I + E1) - I.  Maps are held as their difference from the
+    identity, which keeps the rounding of the ones off the small increments."""
+    return E2 + E1 + E2 @ E1
+
+
+def _compose(E):
+    """Product of the maps I + E[k] over the first axis, later maps to the left."""
+    while len(E) > 1:
+        paired = _then(E[1::2], E[:-1:2])
+        E = np.concatenate([paired, E[-1:]]) if len(E) % 2 else paired
+    return E[0]
+
+
+def _interval_maps(E, stride):
+    """Maps from the first step to the end of each ``stride``-step record interval,
+    as running products by doubling; zero maps (identities) pad a short last one."""
+    s = min(stride, len(E))
+    E = np.concatenate([E, np.zeros((-len(E) % s,) + E.shape[1:], dtype=complex)])
+    P = _compose(E.reshape((-1, s) + E.shape[1:]).swapaxes(0, 1))
+    k = 1
+    while k < len(P):
+        P[k:] = _then(P[k:], P[:-k])
+        k *= 2
+    return P
+
+
+def _evolve(hamiltonian, y0, t_span, dt, record_stride, generator):
+    """Fixed-step RK4 of y' = A(t) y, A = generator(H), on the half-step grid.
+
+    States lie on the last axis of ``y0``; its other axes broadcast against
+    the batch axes of the Hamiltonian samples.
+    """
+    ts, n_steps, h = _half_step_grid(t_span, dt)
+    H = np.asarray(hamiltonian(ts))
+    hb = H.shape[1:-2]
+    batch = np.broadcast_shapes(hb, np.shape(y0)[:-1])
+    H = H.reshape(H.shape[:1] + (1,) * (len(batch) - len(hb)) + H.shape[1:])
+    y = np.broadcast_to(np.asarray(y0, dtype=complex), batch + np.shape(y0)[-1:])
+    dim = y.shape[-1]
+    # one generator for all states: they are stepped as zero-padded blocks of
+    # columns, so that every product stays a small one-thread GEMM
+    stepped = dim > _COMPOSE_MAX_DIM and math.prod(hb) == 1
+    if stepped:
+        m = math.prod(batch)
+        Y = np.zeros((-(-m // _BLOCK) * _BLOCK, dim), dtype=complex)
+        Y[:m] = y.reshape(m, dim)
+        Y = Y.reshape(-1, _BLOCK, dim).swapaxes(1, 2)
+    else:
+        Y = y[..., None]
+    # chunks hold whole record intervals, or split one that exceeds the budget
+    stride = record_stride or n_steps
+    c = max(1, _CHUNK_BYTES // (32 * dim * dim * math.prod(hb)))
+    c = c // stride * stride or c
+    period = max(c, stride)
+    starts = [k for p in range(0, n_steps, period) for k in range(p, min(p + period, n_steps), c)]
+    records, ends = [Y[None]], [0]
+    for k0, k1 in zip(starts, starts[1:] + [n_steps]):
+        A = generator(H[2 * k0:2 * k1 + 1])
+        if stepped:
+            A, Ys = A.reshape(-1, dim, dim), []
+            for k in range(k1 - k0):
+                Y = Y + _rk4_increment(A[2 * k], A[2 * k + 1], A[2 * k + 2], Y, h)
+                Ys.append(Y)
+            Ys, steps = np.stack(Ys), np.arange(k0 + 1, k1 + 1)
+        else:
+            P = _interval_maps(_rk4_increment(A[:-1:2], A[1::2], A[2::2], np.eye(dim), h), stride)
+            Ys = Y + P @ Y
+            steps = k0 + np.minimum(np.arange(1, len(P) + 1) * stride, k1 - k0)
+        Y = Ys[-1]
+        keep = (steps % stride == 0) | (steps == n_steps)
+        records.append(Ys[keep])
+        ends.extend(steps[keep])
+    Ys = np.concatenate(records) if record_stride else Y[None]
+    Ys = (Ys.swapaxes(-1, -2).reshape(len(Ys), -1, dim)[:, :m].reshape((len(Ys),) + y.shape)
+          if stepped else Ys[..., 0])
+    if record_stride:
+        return EvolutionResult(ts[2 * np.array(ends)], Ys, recorded=True)
+    return EvolutionResult(np.array([ts[-1]]), Ys[0], recorded=False)
+
+
+def _liouvillian(collapse, d):
+    """Generator builder of the master equation in row-major vec form.
+
+    H[x, y] enters H kron I at ((x, k), (y, k)) and I kron H^T at
+    ((k, y), (k, x)); each generator is the dissipator plus these entries.
+    """
+    eye = np.eye(d)
+    D = np.zeros((d * d, d * d), dtype=complex)
+    for r, L in collapse:
+        L = np.asarray(L, dtype=complex)
+        K = L.conj().T @ L
+        D += r * (np.kron(L, L.conj()) - 0.5 * (np.kron(K, eye) + np.kron(eye, K.T)))
+    x, y, k = np.indices((d, d, d)).reshape(3, -1)
+    source = x * d + y
+    left, right = (x * d + k) * d * d + y * d + k, (k * d + y) * d * d + k * d + x
+
+    def generator(H):
+        A = np.empty(H.shape[:-2] + (d ** 4,), dtype=complex)
+        A[...] = D.ravel()
+        mH = -1j * H.reshape(H.shape[:-2] + (d * d,))[..., source]
+        A[..., left] += mH
+        A[..., right] -= mH
+        return A.reshape(H.shape[:-2] + (d * d, d * d))
+
+    return generator
+
+
 def evolve_lindblad(hamiltonian, rho0, collapse=(), t_span=None, dt=DEFAULT_DT,
-                    record_stride: int | None = None, hermitize: bool = True,
-                    check_convergence: bool = False,
+                    record_stride: int | None = None, check_convergence: bool = False,
                     convergence_tol: float = 1e-6) -> EvolutionResult:
     """Fixed-step RK4 integration of the master equation.
 
@@ -353,99 +490,30 @@ def evolve_lindblad(hamiltonian, rho0, collapse=(), t_span=None, dt=DEFAULT_DT,
     With ``check_convergence`` the evolution is repeated at dt/2 and the
     run is rejected if the final states differ beyond ``convergence_tol``.
     """
-    result = _evolve_lindblad_once(hamiltonian, rho0, collapse, t_span, dt,
-                                   record_stride, hermitize)
+    rho0 = np.asarray(rho0, dtype=complex)
+    d = rho0.shape[-1]
+    vec0 = rho0.reshape(rho0.shape[:-2] + (d * d,))
+    generator = _liouvillian(collapse, d)
+    result = _evolve(hamiltonian, vec0, t_span, dt, record_stride, generator)
     if check_convergence:
-        fine = _evolve_lindblad_once(hamiltonian, rho0, collapse, t_span, dt / 2,
-                                     None, hermitize)
+        fine = _evolve(hamiltonian, vec0, t_span, dt / 2, None, generator)
         diff = np.abs(result.final - fine.final).max()
         if diff > convergence_tol:
             raise ConvergenceError(
                 f"halving dt changed the final state by {diff:.3e} (> {convergence_tol:.1e})")
+    result.states = result.states.reshape(result.states.shape[:-1] + (d, d))
     return result
 
 
-def _evolve_lindblad_once(hamiltonian, rho0, collapse, t_span, dt,
-                          record_stride, hermitize):
-    ts, n_steps, dt = _half_step_grid(t_span, dt)
-    H = np.asarray(hamiltonian(ts))
-    rho = np.array(rho0, dtype=complex)
-    ops = [(float(r), np.asarray(L, dtype=complex)) for r, L in collapse if r]
-    anticomm = None
-    if ops:
-        anticomm = sum(r * (L.conj().T @ L) for r, L in ops)
-
-    def rhs(Hk, rho):
-        out = -1j * (Hk @ rho - rho @ Hk)
-        if ops:
-            for r, L in ops:
-                out += r * (L @ rho @ L.conj().T)
-            out -= 0.5 * (anticomm @ rho + rho @ anticomm)
-        return out
-
-    records = []
-    record_times = []
-    if record_stride:
-        records.append(rho.copy())
-        record_times.append(ts[0])
-    for k in range(n_steps):
-        H1, H2, H3 = H[2 * k], H[2 * k + 1], H[2 * k + 2]
-        k1 = rhs(H1, rho)
-        k2 = rhs(H2, rho + 0.5 * dt * k1)
-        k3 = rhs(H2, rho + 0.5 * dt * k2)
-        k4 = rhs(H3, rho + dt * k3)
-        rho = rho + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if hermitize:
-            rho = 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
-        if record_stride and ((k + 1) % record_stride == 0 or k == n_steps - 1):
-            records.append(rho.copy())
-            record_times.append(ts[2 * k + 2])
-    if record_stride:
-        return EvolutionResult(np.array(record_times), np.array(records), recorded=True)
-    return EvolutionResult(np.array([ts[-1]]), rho, recorded=False)
-
-
 def evolve_schrodinger(hamiltonian, psi0, t_span, dt=DEFAULT_DT,
-                       record_stride: int | None = None,
-                       matrix: bool = False) -> EvolutionResult:
-    """Fixed-step RK4 for kets (last axis is the state index).
-
-    With ``matrix=True`` the last two axes are treated as an operator whose
-    columns propagate (for building unitaries).
-    """
-    ts, n_steps, dt = _half_step_grid(t_span, dt)
-    H = np.asarray(hamiltonian(ts))
-    psi = np.array(psi0, dtype=complex)
-
-    def rhs(Hk, y):
-        if matrix:
-            return -1j * (Hk @ y)
-        return -1j * np.einsum("...ij,...j->...i", Hk, y)
-
-    records = []
-    record_times = []
-    if record_stride:
-        records.append(psi.copy())
-        record_times.append(ts[0])
-    for k in range(n_steps):
-        H1, H2, H3 = H[2 * k], H[2 * k + 1], H[2 * k + 2]
-        k1 = rhs(H1, psi)
-        k2 = rhs(H2, psi + 0.5 * dt * k1)
-        k3 = rhs(H2, psi + 0.5 * dt * k2)
-        k4 = rhs(H3, psi + dt * k3)
-        psi = psi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if record_stride and ((k + 1) % record_stride == 0 or k == n_steps - 1):
-            records.append(psi.copy())
-            record_times.append(ts[2 * k + 2])
-    if record_stride:
-        return EvolutionResult(np.array(record_times), np.array(records), recorded=True)
-    return EvolutionResult(np.array([ts[-1]]), psi, recorded=False)
+                       record_stride: int | None = None) -> EvolutionResult:
+    """Fixed-step RK4 for kets (last axis is the state index)."""
+    return _evolve(hamiltonian, psi0, t_span, dt, record_stride, lambda H: -1j * H)
 
 
 def propagator(hamiltonian, dim, t_span, dt=DEFAULT_DT) -> np.ndarray:
-    """Propagate the identity columns to obtain the closed-system unitary."""
-    return evolve_schrodinger(hamiltonian, np.eye(dim, dtype=complex), t_span, dt,
-                              matrix=True).final
+    """Closed-system unitary: the identity rows evolve as kets, U is their transpose."""
+    return evolve_schrodinger(hamiltonian, np.eye(dim, dtype=complex), t_span, dt).final.T
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ on this convention.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -113,7 +112,7 @@ def average_gate_fidelity_1q(pulse: DrivePulse, target: np.ndarray,
     sampler, dim = _builder(model, pulse, anharmonicity, err)
     rates = rates or DecoherenceRates()
     evolved = evolve_lindblad(sampler, _channel_basis(dim), qubit_collapse(rates, dim),
-                              (0.0, pulse.tau), dt, hermitize=False).final
+                              (0.0, pulse.tau), dt).final
     return float(_channel_fidelities(evolved, target, n_theta))
 
 
@@ -181,7 +180,7 @@ def average_gate_fidelity_2q(params: TransmonParams, drive: TwoQubitDrive,
             for b in range(4):
                 basis[4 * a + b, COMPUTATIONAL_IDX[a], COMPUTATIONAL_IDX[b]] = 1.0
         evolved = evolve_lindblad(sampler, basis, two_qubit_collapse(rates),
-                                  (0.0, drive.tau), dt, hermitize=False).final
+                                  (0.0, drive.tau), dt).final
         ts, _, _ = _half_step_grid((0.0, drive.tau), dt)
         U = subspace_frame_unitary(drive, ts)
         evolved = np.einsum("ij,njk,kl->nil", U.conj().T, evolved, U)
@@ -284,15 +283,14 @@ class ScanResult:
                       [self.values] + [self.fidelities[n] for n in names])
 
 
-def _scan_chunk(pulse, target, axis, values, rates, n_theta, dt):
-    """Channel-route fidelities for one variant over a chunk of error values.
+def _scan_variant(pulse, target, axis, values, rates, n_theta, dt):
+    """Channel-route fidelities of one variant at every error value.
 
     All error points evolve together: the sampler gets the error values as
     arrays, so the Hamiltonian grid gains a point axis that broadcasts
     against the shared channel basis.  ``values`` is a 1-D array for a
     single axis, or (P, 2) (epsilon, delta) pairs.
     """
-    values = np.asarray(values, dtype=float)
     if axis == "grid2d":
         epsilon, delta = values[:, 0], values[:, 1]
     else:
@@ -301,22 +299,18 @@ def _scan_chunk(pulse, target, axis, values, rates, n_theta, dt):
     def sampler(ts):
         return _drive_hamiltonian(pulse, ts, epsilon, delta)[:, :, None]
 
-    rho0 = np.broadcast_to(_channel_basis(2), (len(values), 4, 2, 2)).copy()
-    evolved = evolve_lindblad(sampler, rho0, qubit_collapse(rates, 2),
-                              (0.0, pulse.tau), dt, hermitize=False).final
+    rho0 = np.broadcast_to(_channel_basis(2), (len(values), 4, 2, 2))
+    evolved = evolve_lindblad(sampler, rho0, qubit_collapse(rates, 2), (0.0, pulse.tau), dt).final
     return _channel_fidelities(evolved, target, n_theta)
 
 
 def robustness_scan(variants: dict, axis: str, values=None,
                     rates: DecoherenceRates | None = None,
-                    n_theta: int = DEFAULT_N_THETA, dt: float = SCAN_DT,
-                    workers: int = 1) -> ScanResult:
+                    n_theta: int = DEFAULT_N_THETA, dt: float = SCAN_DT) -> ScanResult:
     """Fidelity-versus-error curves for each gate variant.
 
     ``axis`` is "epsilon" (drive amplitude) or "delta" (detuning offset).
-    Points are evaluated independently; with ``workers > 1`` every
-    (variant, chunk) task goes to one process pool and the chunks are
-    merged in index order.
+    Each variant evolves all error points as one batch.
     """
     if axis not in ("epsilon", "delta", "grid2d"):
         raise ValueError("axis must be 'epsilon', 'delta' or 'grid2d'")
@@ -325,30 +319,20 @@ def robustness_scan(variants: dict, axis: str, values=None,
     values = np.asarray(values, dtype=float)
     _warn_if_out_of_range(values)
     rates = rates or DecoherenceRates()
-    if workers <= 1 or len(values) < 2 * workers:
-        fidelities = {name: _scan_chunk(pulse, target, axis, values, rates, n_theta, dt)
-                      for name, (pulse, target) in variants.items()}
-    else:
-        chunks = np.array_split(values, workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {name: [pool.submit(_scan_chunk, pulse, target, axis, chunk, rates,
-                                          n_theta, dt) for chunk in chunks]
-                       for name, (pulse, target) in variants.items()}
-            fidelities = {name: np.concatenate([f.result() for f in parts])
-                          for name, parts in futures.items()}
+    fidelities = {name: _scan_variant(pulse, target, axis, values, rates, n_theta, dt)
+                  for name, (pulse, target) in variants.items()}
     return ScanResult(axis=axis, values=values, fidelities=fidelities)
 
 
 def robustness_grid(variants: dict, eps_values, delta_values,
                     rates: DecoherenceRates | None = None,
-                    n_theta: int = DEFAULT_N_THETA, dt: float = SCAN_DT,
-                    workers: int = 1) -> ScanResult:
+                    n_theta: int = DEFAULT_N_THETA, dt: float = SCAN_DT) -> ScanResult:
     """Two-dimensional fidelity grid over (epsilon, delta) pairs."""
     eps_values = np.asarray(eps_values, dtype=float)
     delta_values = np.asarray(delta_values, dtype=float)
     pairs = np.array([(e, d) for e in eps_values for d in delta_values])
     return robustness_scan(variants, "grid2d", pairs, rates=rates,
-                           n_theta=n_theta, dt=dt, workers=workers)
+                           n_theta=n_theta, dt=dt)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import j1 as scipy_j1
 
+from geogate import dynamics
 from geogate.dynamics import (
     ConvergenceError,
     DecoherenceRates,
     ErrorFractions,
     TransmonParams,
+    _drive_hamiltonian,
     aux_states,
     build_two_qubit_drive,
     effective_two_qubit_hamiltonian,
@@ -129,6 +131,143 @@ class TestLindbladBasics:
         assert res.times[0] == 0.0
         assert res.times[-1] == pytest.approx(10.0)
         assert np.allclose(res.states[0], rho0)
+
+
+def reference_rk4(hamiltonian, y0, rhs, t_span, dt, record_stride=None):
+    """Plain per-step RK4 on the half-step grid, recording like the integrators."""
+    t0, t1 = t_span
+    n_steps = max(1, int(round((t1 - t0) / dt)))
+    h = (t1 - t0) / n_steps
+    ts = np.linspace(t0, t1, 2 * n_steps + 1)
+    H = hamiltonian(ts)
+    y = np.array(y0, dtype=complex)
+    times, states = [ts[0]], [y]
+    for k in range(n_steps):
+        k1 = rhs(H[2 * k], y)
+        k2 = rhs(H[2 * k + 1], y + 0.5 * h * k1)
+        k3 = rhs(H[2 * k + 1], y + 0.5 * h * k2)
+        k4 = rhs(H[2 * k + 2], y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if record_stride and ((k + 1) % record_stride == 0 or k == n_steps - 1):
+            times.append(ts[2 * k + 2])
+            states.append(y)
+    return (np.array(times), np.array(states)) if record_stride else y
+
+
+def lindblad_rhs(collapse):
+    def rhs(H, rho):
+        out = -1j * (H @ rho - rho @ H)
+        for r, L in collapse:
+            Ld = L.conj().T
+            out = out + r * (L @ rho @ Ld - 0.5 * (Ld @ L @ rho + rho @ Ld @ L))
+        return out
+    return rhs
+
+
+def schrodinger_rhs(H, psi):
+    return -1j * np.einsum("...ij,...j->...i", H, psi)
+
+
+STRONG = DecoherenceRates(gamma_decay=0.02, kappa_dephase=0.03)
+
+
+def two_qubit_inputs():
+    params, drive = two_qubit_drive(grid_points=801)
+    basis = np.zeros((3, 9, 9), dtype=complex)
+    basis[0, IDX_11, IDX_11] = 1.0
+    basis[1, IDX_01, IDX_11] = 1.0
+    basis[2] = ket_dm(np.eye(9)[0] + np.eye(9)[IDX_10])
+    return two_qubit_full_hamiltonian(params, drive), basis
+
+
+class TestRK4Core:
+    """The composed and the stepped core against a plain per-step RK4."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_lindblad_decay_and_dephasing(self, dim):
+        pulse = drag_correct(synthesize(CATALOG["pi8"], grid_points=801), ANH)
+        sampler = (two_level_hamiltonian(pulse) if dim == 2
+                   else three_level_hamiltonian(pulse, ANH))
+        collapse = qubit_collapse(STRONG, dim)
+        rho0 = np.zeros((dim, dim), dtype=complex)
+        rho0[:2, :2] = ket_dm([0.6, 0.8j])
+        got = evolve_lindblad(sampler, rho0, collapse, (0.0, pulse.tau), dt=0.02).final
+        ref = reference_rk4(sampler, rho0, lindblad_rhs(collapse), (0.0, pulse.tau), 0.02)
+        assert np.abs(got - ref).max() <= 1e-12
+
+    def test_scan_point_axis(self):
+        pulse = synthesize(CATALOG["hadamard"], grid_points=801)
+        eps = np.linspace(-0.1, 0.1, 5)
+
+        def sampler(ts):
+            return _drive_hamiltonian(pulse, ts, eps, 0.0)[:, :, None]
+
+        basis = np.zeros((4, 2, 2), dtype=complex)
+        for k in range(4):
+            basis[k].flat[k] = 1.0
+        collapse = qubit_collapse(STRONG, 2)
+        got = evolve_lindblad(sampler, basis, collapse, (0.0, pulse.tau), dt=0.05).final
+        ref = reference_rk4(sampler, np.broadcast_to(basis, (5, 4, 2, 2)),
+                            lindblad_rhs(collapse), (0.0, pulse.tau), 0.05)
+        assert got.shape == (5, 4, 2, 2)
+        assert np.abs(got - ref).max() <= 1e-12
+
+    def test_nine_level_lindblad_steps(self):
+        sampler, rho0 = two_qubit_inputs()
+        collapse = two_qubit_collapse(STRONG)
+        got = evolve_lindblad(sampler, rho0, collapse, (0.0, 3.0), dt=0.01,
+                              record_stride=40)
+        times, ref = reference_rk4(sampler, rho0, lindblad_rhs(collapse), (0.0, 3.0), 0.01,
+                                   record_stride=40)
+        assert np.array_equal(got.times, times)
+        assert np.abs(got.states - ref).max() <= 1e-12
+
+    def test_nine_level_schrodinger(self):
+        sampler, _ = two_qubit_inputs()
+        psi0 = np.eye(9, dtype=complex)[[IDX_11, IDX_01]]
+        got = evolve_schrodinger(sampler, psi0, (0.0, 20.0), dt=0.01).final
+        ref = reference_rk4(sampler, psi0, schrodinger_rhs, (0.0, 20.0), 0.01)
+        assert np.abs(got - ref).max() <= 1e-12
+
+    def test_span_longer_than_one_chunk(self):
+        pulse = drag_correct(synthesize(CATALOG["pi8"], grid_points=801), ANH)
+        sampler = three_level_hamiltonian(pulse, ANH)
+        n_steps = round(pulse.tau / 0.005)
+        assert n_steps > 3 * dynamics._CHUNK_BYTES // (32 * 9 ** 2)
+        collapse = qubit_collapse(STRONG, 3)
+        rho0 = ket_dm([1.0, 0.0, 0.0])
+        got = evolve_lindblad(sampler, rho0, collapse, (0.0, pulse.tau), dt=0.005).final
+        ref = reference_rk4(sampler, rho0, lindblad_rhs(collapse), (0.0, pulse.tau), 0.005)
+        assert np.abs(got - ref).max() <= 1e-12
+
+    # 1 and 6 steps fit in one chunk of the d = 3 generator budget; 300 spans several
+    @pytest.mark.parametrize("stride", [1, 6, 300])
+    def test_record_stride_not_dividing_steps(self, stride):
+        pulse = drag_correct(synthesize(CATALOG["pi8"], grid_points=801), ANH)
+        sampler = three_level_hamiltonian(pulse, ANH)
+        n_steps = round(pulse.tau / 0.01)
+        assert n_steps % stride != 0 or stride == 1
+        chunk_steps = dynamics._CHUNK_BYTES // (32 * 9 ** 2)
+        assert (stride < chunk_steps) == (stride < 300)
+        collapse = qubit_collapse(STRONG, 3)
+        rho0 = ket_dm([1.0, 1.0, 0.0])
+        got = evolve_lindblad(sampler, rho0, collapse, (0.0, pulse.tau), dt=0.01,
+                              record_stride=stride)
+        times, ref = reference_rk4(sampler, rho0, lindblad_rhs(collapse), (0.0, pulse.tau),
+                                   0.01, record_stride=stride)
+        assert len(got.times) == n_steps // stride + 1 + (n_steps % stride != 0)
+        assert np.array_equal(got.times, times)
+        assert np.abs(got.states - ref).max() <= 1e-12
+
+    def test_recorded_kets(self):
+        pulse = synthesize(CATALOG["hadamard"], grid_points=801)
+        sampler = two_level_hamiltonian(pulse)
+        psi0 = np.stack(aux_states(0.4, 1.1))
+        got = evolve_schrodinger(sampler, psi0, (0.0, pulse.tau), dt=0.01, record_stride=9)
+        times, ref = reference_rk4(sampler, psi0, schrodinger_rhs, (0.0, pulse.tau), 0.01,
+                                   record_stride=9)
+        assert np.array_equal(got.times, times)
+        assert np.abs(got.states - ref).max() <= 1e-12
 
 
 class TestSchrodinger:
