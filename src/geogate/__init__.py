@@ -60,7 +60,6 @@ from .fidelity import (
     fidelity_dynamics,
     gate_variants,
     robustness_scan,
-    state_fidelity,
 )
 from .optimize import (
     OptimizationProblem,

@@ -135,41 +135,38 @@ def criterion_5_transport_and_cyclicity() -> CriterionResult:
     return CriterionResult(5, "parallel transport and cyclic return", ok, detail)
 
 
-def criterion_6_three_level_fidelities(n_theta: int = 1001, dt: float = 0.001) -> CriterionResult:
+def criterion_6_three_level_fidelities(dt: float = 0.001) -> CriterionResult:
     fids = {}
     for name, center in (("pi8", 0.9996), ("hadamard", 0.9997)):
         spec = CATALOG[name]
         pulse = drag_correct(synthesize(spec), ANHARMONICITY)
         f = average_gate_fidelity_1q(pulse, target_unitary(spec), model="three_level",
-                                     anharmonicity=ANHARMONICITY, rates=BENCH_RATES,
-                                     n_theta=n_theta, dt=dt, method="channel")
+                                     anharmonicity=ANHARMONICITY, rates=BENCH_RATES, dt=dt)
         fids[name] = (f, center)
     ok = all(_within(f, c, 0.0003) for f, c in fids.values())
     detail = ", ".join(f"F_{n}={f:.5f} ({c}±0.0003)" for n, (f, c) in fids.items())
     return CriterionResult(6, "leakage-corrected transmon fidelities", ok, detail)
 
 
-def criterion_7_two_qubit_gate(dt: float = 0.001, n_theta: int = 51) -> CriterionResult:
+def criterion_7_two_qubit_gate(dt: float = 0.001) -> CriterionResult:
     spec = CATALOG["phase"]
     pulse = synthesize(spec, default_schedule(spec, TWO_QUBIT_COEFFS), GPRIME_BUDGET)
     drive = build_two_qubit_drive(TWO_QUBIT_PARAMS, pulse, math.pi / 4)
     f = average_gate_fidelity_2q(TWO_QUBIT_PARAMS, drive, rates=BENCH_RATES,
-                                 model="full", n_theta=n_theta, dt=dt)
+                                 model="full", dt=dt)
     ok = _within(f, 0.9981, 0.0015) and _within(drive.tau, 43.50, 0.5)
     detail = f"F={f:.5f} (0.9981±0.0015), tau'={drive.tau:.3f} ns (43.50±0.5)"
     return CriterionResult(7, "coupled-transmon control-phase gate", ok, detail)
 
 
-def criterion_8_robustness_ordering(n_points: int = 41, n_theta: int = 1001,
-                                    dt: float = 0.01) -> CriterionResult:
+def criterion_8_robustness_ordering(n_points: int = 41, dt: float = 0.01) -> CriterionResult:
     values = np.linspace(-0.1, 0.1, n_points)
     edges = [0, n_points - 1]
     checks = []
     for gate in ("pi8", "hadamard"):
         variants = gate_variants(gate, include=("geometric", "dynamical"))
         for axis in ("epsilon", "delta"):
-            scan = robustness_scan(variants, axis, values, rates=BENCH_RATES,
-                                   n_theta=n_theta, dt=dt)
+            scan = robustness_scan(variants, axis, values, rates=BENCH_RATES, dt=dt)
             geo = scan.fidelities["geometric"]
             dyn = scan.fidelities["dynamical"]
             for e in edges:
@@ -227,11 +224,9 @@ def criterion_10_numerical_hygiene() -> CriterionResult:
     # RK4 convergence of a reported fidelity under dt halving
     target = target_unitary(spec)
     f_a = average_gate_fidelity_1q(pulse, target, model="three_level",
-                                   anharmonicity=ANHARMONICITY, rates=BENCH_RATES,
-                                   n_theta=201, dt=0.002, method="channel")
+                                   anharmonicity=ANHARMONICITY, rates=BENCH_RATES, dt=0.002)
     f_b = average_gate_fidelity_1q(pulse, target, model="three_level",
-                                   anharmonicity=ANHARMONICITY, rates=BENCH_RATES,
-                                   n_theta=201, dt=0.001, method="channel")
+                                   anharmonicity=ANHARMONICITY, rates=BENCH_RATES, dt=0.001)
     fid_dev = abs(f_a - f_b)
     if fid_dev >= 1e-6:
         problems.append(f"dt-halving fidelity change {fid_dev:.2e}")

@@ -168,9 +168,7 @@ def cmd_simulate(args) -> int:
         if _coeffs(config, args):
             print("note: reshaped schedules pair poorly with the leakage correction")
     fid = average_gate_fidelity_1q(pulse, target_unitary(spec), model=model,
-                                   anharmonicity=anh, rates=rates, err=err,
-                                   n_theta=config.get("n_theta", 1001), dt=dt,
-                                   method="channel")
+                                   anharmonicity=anh, rates=rates, err=err, dt=dt)
     defaults = {"pi8": [1.0, 1.0], "phase": [1.0, 1.0], "hadamard": [1.0, 0.0]}
     ket0 = config.get("initial_state", defaults.get(gate, [1.0, 0.0]))
     trace = fidelity_dynamics(pulse, ket0, model=model, anharmonicity=anh,
@@ -205,7 +203,6 @@ def cmd_scan(args) -> int:
     i0 = int(np.argmin(np.abs(values)))  # the grid point nearest zero error
     for axis in axes:
         scan = robustness_scan(variants, axis, values, rates=rates,
-                               n_theta=config.get("n_theta", 1001),
                                dt=_dt(config, args, default=0.01))
         out = os.path.join(out_dir, f"scan_{gate}_{axis}.csv")
         scan.to_csv(out)
@@ -242,8 +239,7 @@ def cmd_two_qubit(args) -> int:
     pulse = synthesize(spec, default_schedule(spec, coeffs), budget,
                        config.get("grid_points", 4001))
     drive = build_two_qubit_drive(params, pulse, gamma_prime)
-    fid = average_gate_fidelity_2q(params, drive, rates=rates, model=model,
-                                   n_theta=tq.get("n_theta", 51), dt=dt)
+    fid = average_gate_fidelity_2q(params, drive, rates=rates, model=model, dt=dt)
     out_dir = _out_dir(config, args)
     os.makedirs(out_dir, exist_ok=True)
     outputs = []

@@ -200,9 +200,6 @@ class TwoQubitDrive:
     nu: np.ndarray
     gamma_g_prime: float
 
-    def frequency_matching_residual(self, params: TransmonParams) -> float:
-        return float(np.abs(self.nu - (self.Delta_prime + params.anh_b + params.Delta)).max())
-
 
 def eta_waveform(g_prime, g: float):
     """Modulation amplitude solving 2*sqrt(2)*g*J1(eta) = g_prime pointwise."""

@@ -71,9 +71,6 @@ class GateCatalog:
             raise KeyError(f"unknown gate {name!r}")
         return getattr(self, aliases[key])
 
-    def names(self):
-        return ("phase", "pi8", "hadamard")
-
 
 CATALOG = GateCatalog(
     phase=PathSpec(gamma_g=math.pi / 4, alpha0=0.0, beta0=math.pi / 2, kind=PathKind.POLE_START),
@@ -207,30 +204,6 @@ def target_unitary(spec: PathSpec) -> np.ndarray:
 def target_unitary_2q(gamma_g_prime: float) -> np.ndarray:
     """Control-phase gate diag(1, 1, 1, e^{-i gamma'})."""
     return np.diag([1.0, 1.0, 1.0, np.exp(-1j * gamma_g_prime)]).astype(complex)
-
-
-def constant_drive_pulse(axis, angle, budget: AmplitudeBudget = DEFAULT_BUDGET,
-                         grid_points: int = 201) -> DrivePulse:
-    """Single constant-Hamiltonian rotation with the transverse term at budget.
-
-    Realizes exp(-i * angle/2 * n.sigma) with drive amplitude
-    A_perp = omega0; the z component maps onto a constant detuning.
-    """
-    n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
-    n_perp = math.hypot(n[0], n[1])
-    if n_perp < 1e-12:
-        raise ValueError("axis must have a transverse component to saturate the drive budget")
-    omega_eff = budget.omega0 / n_perp
-    tau = abs(angle) / omega_eff
-    a_z = omega_eff * n[2] * math.copysign(1.0, angle)
-    phi = math.atan2(n[1], n[0]) + (math.pi if angle < 0 else 0.0)
-    t = np.linspace(0.0, tau, grid_points)
-    const = np.full(grid_points, budget.omega0)
-    return DrivePulse(tau=tau, t=t, delta=np.full(grid_points, -a_z),
-                      omega=const, phase=np.full(grid_points, phi),
-                      beta_dot=np.zeros(grid_points), zeta=np.zeros(grid_points),
-                      omega0=budget.omega0)
 
 
 def composite_drive_pulse(segments, budget: AmplitudeBudget = DEFAULT_BUDGET,

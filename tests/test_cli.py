@@ -222,6 +222,18 @@ class TestErrors:
         r = run_cli(["synth"], tmp_path)
         assert r.returncode == 1
 
+    def test_unknown_scan_axis_names_the_allowed_axes(self, tmp_path):
+        cfg = write_config(tmp_path, "grid.json", {
+            "gate": "pi8", "dt_ns": 0.05,
+            "scan": {"axes": ["grid2d"], "points": 3, "variants": ["geometric"]},
+            "out_dir": str(tmp_path / "grid"),
+        })
+        r = run_cli(["scan", "--config", cfg], tmp_path)
+        assert r.returncode == 1
+        payload = json.loads(r.stderr[len("error: "):])
+        assert payload["type"] == "ValueError"
+        assert "'epsilon'" in payload["message"] and "'delta'" in payload["message"]
+
 
 class TestConfigHelpers:
     def test_hash_stable_under_key_order(self):

@@ -447,7 +447,7 @@ class TestEtaWaveform:
 class TestTwoQubitHamiltonians:
     def test_frequency_matching_exact(self):
         params, drive = two_qubit_drive()
-        assert drive.frequency_matching_residual(params) == 0.0
+        assert np.array_equal(drive.nu, drive.Delta_prime + params.anh_b + params.Delta)
 
     def test_zero_modulation_leaves_bare_coupling(self):
         params = paper_params()

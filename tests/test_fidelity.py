@@ -3,19 +3,27 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from geogate.dynamics import (
+    COMPUTATIONAL_IDX,
     DecoherenceRates,
     ErrorFractions,
     TransmonParams,
+    _half_step_grid,
     build_two_qubit_drive,
+    effective_two_qubit_hamiltonian,
     evolve_lindblad,
+    evolve_schrodinger,
     qubit_collapse,
+    subspace_frame_unitary,
     two_level_hamiltonian,
+    two_qubit_collapse,
+    two_qubit_full_hamiltonian,
 )
 from geogate.fidelity import (
     FidelityTrace,
+    _average_fidelity,
+    _channel_basis,
     average_gate_fidelity_1q,
     average_gate_fidelity_2q,
     comparator_segments,
@@ -23,14 +31,10 @@ from geogate.fidelity import (
     fidelity_dynamics,
     gate_variants,
     robustness_scan,
-    state_fidelity,
-    theta_kets,
 )
 from geogate.pulses import (
     CATALOG,
     DEFAULT_BUDGET,
-    SIGMA_X,
-    SIGMA_Z,
     AmplitudeBudget,
     TWO_QUBIT_COEFFS,
     default_schedule,
@@ -38,6 +42,7 @@ from geogate.pulses import (
     segment_unitary,
     synthesize,
     target_unitary,
+    target_unitary_2q,
 )
 
 TWO_PI = 2 * math.pi
@@ -45,34 +50,51 @@ RATES = DecoherenceRates(gamma_decay=TWO_PI * 3e-6, kappa_dephase=TWO_PI * 3e-6)
 ANH = TWO_PI * 0.220
 
 
-class TestStateFidelity:
-    def test_pure_match(self):
-        ket = np.array([1.0, 1.0j]) / math.sqrt(2)
-        rho = np.outer(ket, ket.conj())
-        assert state_fidelity(rho, ket) == pytest.approx(1.0, abs=1e-14)
+def theta_kets(n_theta):
+    """Kets cos(theta)|0> + sin(theta)|1> on a trapezoid grid over [0, 2*pi], with weights."""
+    theta = np.linspace(0.0, 2 * math.pi, n_theta)
+    w = np.ones(n_theta)
+    w[0] = w[-1] = 0.5
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1), w / w.sum()
 
-    def test_maximally_mixed(self):
-        assert state_fidelity(np.eye(2) / 2, [1.0, 0.0]) == pytest.approx(0.5)
 
-    def test_orthogonal_component(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        plus = np.array([1.0, 1.0]) / math.sqrt(2)
-        assert state_fidelity(rho, plus) == pytest.approx(0.5)
+def product_theta_kets(n_theta):
+    """Product kets (n^2, 4), index 2 * (first qubit) + second, and their weights."""
+    kets, w = theta_kets(n_theta)
+    return (np.einsum("xa,yb->xyab", kets, kets).reshape(-1, 4),
+            np.outer(w, w).ravel())
 
-    def test_padding_into_larger_space(self):
-        rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
-        assert state_fidelity(rho, [1.0, 0.0]) == pytest.approx(0.5)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            state_fidelity(np.eye(2) / 2, [1.0, 0.0, 0.0])
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestExactAverage:
+    @pytest.mark.parametrize("idx", [(0, 1), (0, 1, 2, 3)])
+    def test_unitary_channel_on_its_target_is_perfect(self, idx):
+        # E(X) = U X U^dag with target U, including the identity channel
+        n = len(idx)
+        basis = _channel_basis(idx, n)
+        for U in (np.eye(n), random_unitary(np.random.default_rng(n), n)):
+            evolved = U @ basis @ U.conj().T
+            assert _average_fidelity(evolved, U, idx) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("idx, expected", [((0, 1), 0.5), ((0, 1, 2, 3), 0.25)])
+    def test_fully_depolarising_channel(self, idx, expected):
+        # E(X) = tr(X) I/n gives F = 1/n for any target
+        n = len(idx)
+        basis = _channel_basis(idx, n)
+        evolved = np.einsum("kii->k", basis)[:, None, None] * np.eye(n) / n
+        target = random_unitary(np.random.default_rng(7), n)
+        assert _average_fidelity(evolved, target, idx) == pytest.approx(expected, abs=1e-15)
 
 
 class TestAverageGateFidelity1q:
     def test_closed_system_near_unity(self):
         pulse = synthesize(CATALOG["pi8"])
         target = target_unitary(CATALOG["pi8"])
-        f = average_gate_fidelity_1q(pulse, target, n_theta=101, dt=0.005)
+        f = average_gate_fidelity_1q(pulse, target, dt=0.005)
         assert f >= 0.99999
 
     def test_channel_route_matches_states_route(self):
@@ -80,18 +102,15 @@ class TestAverageGateFidelity1q:
         pulse = synthesize(CATALOG["hadamard"], grid_points=1001)
         target = target_unitary(CATALOG["hadamard"])
         err = ErrorFractions(epsilon=0.05)
-        n_theta = 101
-        kets = theta_kets(n_theta).astype(complex)
+        kets, w = theta_kets(101)
+        kets = kets.astype(complex)
         rho0 = np.einsum("ni,nj->nij", kets, kets.conj())
         rho = evolve_lindblad(two_level_hamiltonian(pulse, err), rho0, qubit_collapse(RATES),
                               (0.0, pulse.tau), dt=0.01).final
         finals = kets @ target.T
         f = np.einsum("ni,nij,nj->n", finals.conj(), rho, finals).real
-        w = np.ones(n_theta)
-        w[0] = w[-1] = 0.5
-        f_states = float(np.sum(f * w) / np.sum(w))
-        f_channel = average_gate_fidelity_1q(pulse, target, rates=RATES, err=err,
-                                             n_theta=n_theta, dt=0.01)
+        f_states = float(f @ w)
+        f_channel = average_gate_fidelity_1q(pulse, target, rates=RATES, err=err, dt=0.01)
         assert f_channel == pytest.approx(f_states, abs=1e-12)
 
     def test_only_channel_method(self):
@@ -99,26 +118,23 @@ class TestAverageGateFidelity1q:
         with pytest.raises(ValueError):
             average_gate_fidelity_1q(pulse, target_unitary(CATALOG["pi8"]), method="states")
 
-    def test_theta_count_stability(self):
+    def test_n_theta_has_no_effect(self):
         pulse = synthesize(CATALOG["pi8"], grid_points=1001)
         target = target_unitary(CATALOG["pi8"])
-        f1 = average_gate_fidelity_1q(pulse, target, rates=RATES, n_theta=1001,
-                                      dt=0.01, method="channel")
-        f2 = average_gate_fidelity_1q(pulse, target, rates=RATES, n_theta=2001,
-                                      dt=0.01, method="channel")
-        assert abs(f1 - f2) < 1e-6
+        fs = {average_gate_fidelity_1q(pulse, target, rates=RATES, n_theta=n, dt=0.01)
+              for n in (6, 51, 1001)}
+        assert len(fs) == 1
 
     def test_fidelity_bounded(self):
         pulse = synthesize(CATALOG["pi8"], grid_points=1001)
         target = target_unitary(CATALOG["pi8"])
         f = average_gate_fidelity_1q(pulse, target, rates=RATES,
-                                     err=ErrorFractions(epsilon=0.1, delta=-0.1),
-                                     n_theta=101, dt=0.01)
+                                     err=ErrorFractions(epsilon=0.1, delta=-0.1), dt=0.01)
         assert 0.0 <= f <= 1.0 + 1e-9
 
 
 class TestDriveConvention:
-    KW = dict(model="three_level", anharmonicity=ANH, rates=RATES, n_theta=51, dt=0.01)
+    KW = dict(model="three_level", anharmonicity=ANH, rates=RATES, dt=0.01)
 
     def test_epsilon_scales_applied_drag_drive(self):
         # the amplitude error acts on the drive the transmon actually sees
@@ -142,17 +158,6 @@ class TestDriveConvention:
 
 
 class TestComparators:
-    def test_hadamard_single_rotation_example(self):
-        pulse, target = dynamical_comparator(CATALOG["hadamard"], style="single")
-        assert pulse.tau == pytest.approx(11.79, abs=0.01)
-        n = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
-        gen = n[0] * SIGMA_X + n[2] * SIGMA_Z
-        assert np.allclose(target, expm(-1j * math.pi / 2 * gen), atol=1e-12)
-
-    def test_single_rotation_rejects_diagonal_targets(self):
-        with pytest.raises(ValueError):
-            dynamical_comparator(CATALOG["pi8"], style="single")
-
     @pytest.mark.parametrize("name", ["phase", "pi8", "hadamard"])
     @pytest.mark.parametrize("style", ["canonical", "minimal"])
     def test_segments_realize_target(self, name, style):
@@ -173,7 +178,7 @@ class TestComparators:
 
     def test_comparator_zero_error_fidelity(self):
         pulse, target = dynamical_comparator(CATALOG["pi8"])
-        f = average_gate_fidelity_1q(pulse, target, n_theta=101, dt=0.005)
+        f = average_gate_fidelity_1q(pulse, target, dt=0.005)
         assert f >= 0.99999
 
 
@@ -181,28 +186,24 @@ class TestRobustnessScan:
     def test_zero_point_matches_direct_evaluation(self):
         variants = gate_variants("pi8", include=("geometric",))
         scan = robustness_scan(variants, "epsilon", np.array([-0.05, 0.0, 0.05]),
-                               rates=RATES, n_theta=201, dt=0.02)
+                               rates=RATES, dt=0.02)
         pulse, target = variants["geometric"]
-        direct = average_gate_fidelity_1q(pulse, target, rates=RATES,
-                                          n_theta=201, dt=0.02, method="channel")
+        direct = average_gate_fidelity_1q(pulse, target, rates=RATES, dt=0.02)
         mid = scan.fidelities["geometric"][1]
         assert mid == pytest.approx(direct, abs=1e-12)
 
     def test_scan_direction_invariance(self):
         variants = gate_variants("pi8", include=("geometric",))
         values = np.linspace(-0.1, 0.1, 5)
-        fwd = robustness_scan(variants, "delta", values, rates=RATES,
-                              n_theta=101, dt=0.02)
-        bwd = robustness_scan(variants, "delta", values[::-1], rates=RATES,
-                              n_theta=101, dt=0.02)
+        fwd = robustness_scan(variants, "delta", values, rates=RATES, dt=0.02)
+        bwd = robustness_scan(variants, "delta", values[::-1], rates=RATES, dt=0.02)
         assert np.allclose(fwd.fidelities["geometric"],
                            bwd.fidelities["geometric"][::-1], atol=1e-13)
 
     def test_curve_single_peaked_near_zero(self):
         variants = gate_variants("pi8", include=("geometric",))
         values = np.linspace(-0.1, 0.1, 9)
-        scan = robustness_scan(variants, "delta", values, rates=RATES,
-                               n_theta=201, dt=0.02)
+        scan = robustness_scan(variants, "delta", values, rates=RATES, dt=0.02)
         f = scan.fidelities["geometric"]
         peak = np.argmax(f)
         assert values[peak] == pytest.approx(0.0, abs=0.03)
@@ -212,20 +213,6 @@ class TestRobustnessScan:
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             robustness_scan({}, "sigma", np.array([0.0]))
-
-    def test_grid2d_consistent_with_axes(self, tmp_path):
-        from geogate.fidelity import robustness_grid
-        variants = gate_variants("pi8", include=("geometric",))
-        grid = robustness_grid(variants, [-0.1, 0.1], [0.0], rates=RATES,
-                               n_theta=101, dt=0.02)
-        line = robustness_scan(variants, "epsilon", np.array([-0.1, 0.1]),
-                               rates=RATES, n_theta=101, dt=0.02)
-        assert np.allclose(grid.fidelities["geometric"],
-                           line.fidelities["geometric"], atol=1e-13)
-        out = tmp_path / "grid.csv"
-        grid.to_csv(out)
-        assert out.read_text().splitlines()[0] == (
-            "epsilon_fraction,delta_fraction,fidelity_geometric")
 
 
 class TestFidelityDynamics:
@@ -285,8 +272,7 @@ class TestAverageGateFidelity2q:
         pulse = synthesize(spec, default_schedule(spec, TWO_QUBIT_COEFFS),
                            AmplitudeBudget(TWO_PI * 0.015), 4001)
         drive = build_two_qubit_drive(params, pulse, math.pi / 4)
-        f = average_gate_fidelity_2q(params, drive, model="effective",
-                                     n_theta=31, dt=0.005)
+        f = average_gate_fidelity_2q(params, drive, model="effective", dt=0.005)
         assert f >= 0.9999
 
     def test_identity_drive_perfect(self):
@@ -298,8 +284,7 @@ class TestAverageGateFidelity2q:
                               g_prime=zeros, Delta_prime=zeros,
                               nu=np.full(51, params.anh_b + params.Delta),
                               gamma_g_prime=0.0)
-        f = average_gate_fidelity_2q(params, drive, model="effective",
-                                     n_theta=21, dt=0.005)
+        f = average_gate_fidelity_2q(params, drive, model="effective", dt=0.005)
         assert f == pytest.approx(1.0, abs=1e-8)
 
     def test_effective_model_rejects_rates(self):
@@ -311,6 +296,46 @@ class TestAverageGateFidelity2q:
         with pytest.raises(ValueError):
             average_gate_fidelity_2q(params, drive, rates=RATES, model="effective")
 
-    def test_theta_weights_normalized(self):
-        kets = theta_kets(11)
-        assert np.allclose(np.linalg.norm(kets, axis=1), 1.0)
+    def test_full_model_matches_product_state_trapezoid(self):
+        # reference: evolve every product state of a 7x7 theta grid in the
+        # 9-level model and average by the trapezoid rule
+        params = paper_params()
+        spec = CATALOG["phase"]
+        pulse = synthesize(spec, default_schedule(spec, TWO_QUBIT_COEFFS),
+                           AmplitudeBudget(TWO_PI * 0.015), 1001)
+        drive = build_two_qubit_drive(params, pulse, math.pi / 4)
+        rates = DecoherenceRates(gamma_decay=TWO_PI * 3e-4, kappa_dephase=TWO_PI * 2e-4)
+        dt = 0.05
+        kets, w = product_theta_kets(7)
+        kets9 = np.zeros((len(kets), 9), dtype=complex)
+        kets9[:, list(COMPUTATIONAL_IDX)] = kets
+        rho = evolve_lindblad(two_qubit_full_hamiltonian(params, drive),
+                              np.einsum("ni,nj->nij", kets9, kets9.conj()),
+                              two_qubit_collapse(rates), (0.0, drive.tau), dt).final
+        U = subspace_frame_unitary(drive, _half_step_grid((0.0, drive.tau), dt)[0])
+        rho = U.conj().T @ rho @ U
+        finals = np.zeros_like(kets9)
+        finals[:, list(COMPUTATIONAL_IDX)] = kets @ target_unitary_2q(drive.gamma_g_prime).T
+        f = np.einsum("ni,nij,nj->n", finals.conj(), rho, finals).real
+        exact = average_gate_fidelity_2q(params, drive, rates=rates, model="full", dt=dt)
+        assert exact == pytest.approx(float(f @ w), abs=1e-12)
+        assert exact < 0.999
+
+    def test_effective_model_matches_product_state_trapezoid(self):
+        params = paper_params()
+        spec = CATALOG["phase"]
+        pulse = synthesize(spec, default_schedule(spec, TWO_QUBIT_COEFFS),
+                           AmplitudeBudget(TWO_PI * 0.015), 1001)
+        # a phase away from the loop's own makes the average nontrivial
+        drive = replace(build_two_qubit_drive(params, pulse, math.pi / 4), gamma_g_prime=1.0)
+        dt = 0.02
+        psi = evolve_schrodinger(effective_two_qubit_hamiltonian(drive),
+                                 np.array([1.0, 0.0], dtype=complex), (0.0, drive.tau), dt).final
+        kets, w = product_theta_kets(7)
+        out = kets.astype(complex)
+        out[:, 3] *= psi[0]
+        finals = kets @ target_unitary_2q(drive.gamma_g_prime).T
+        f = np.abs(np.einsum("ni,ni->n", finals.conj(), out)) ** 2
+        exact = average_gate_fidelity_2q(params, drive, model="effective", dt=dt)
+        assert exact == pytest.approx(float(f @ w), abs=1e-12)
+        assert exact < 0.999

@@ -14,7 +14,6 @@ from geogate.pulses import (
     SIGMA_Z,
     AmplitudeBudget,
     composite_drive_pulse,
-    constant_drive_pulse,
     default_schedule,
     dimensionless_envelope,
     drag_correct,
@@ -243,14 +242,6 @@ class TestTargetUnitaries:
 
 
 class TestConstantAndCompositePulses:
-    def test_hadamard_single_rotation_duration(self):
-        # axis (1,0,1)/sqrt2, angle pi, transverse amplitude at budget
-        n = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
-        pulse = constant_drive_pulse(n, math.pi, DEFAULT_BUDGET)
-        assert pulse.tau == pytest.approx(math.pi / (math.sqrt(2) * DEFAULT_BUDGET.omega0),
-                                          rel=1e-12)
-        assert pulse.tau == pytest.approx(11.79, abs=0.01)
-
     def test_rotation_unitary_against_expm(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -260,10 +251,6 @@ class TestConstantAndCompositePulses:
             gen = axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
             assert np.allclose(rotation_unitary(axis, ang), expm(-1j * ang / 2 * gen),
                                atol=1e-12)
-
-    def test_z_axis_rejected(self):
-        with pytest.raises(ValueError):
-            constant_drive_pulse((0.0, 0.0, 1.0), math.pi, DEFAULT_BUDGET)
 
     def test_composite_total_duration(self):
         segs = [(-math.pi / 2, 0.0), (math.pi / 4, math.pi / 2), (math.pi / 2, 0.0)]
