@@ -64,7 +64,6 @@ from .fidelity import (
 from .optimize import (
     OptimizationProblem,
     OptimizationResult,
-    bessel_j1,
     invert_bessel_j1,
     objective,
     optimize,

@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import j1
 
 from .dynamics import (
     DecoherenceRates,
@@ -31,8 +32,8 @@ from .fidelity import (
     robustness_scan,
 )
 from .optimize import (
+    J1_MAX,
     OptimizationProblem,
-    bessel_j1,
     invert_bessel_j1,
     objective,
     optimize,
@@ -232,8 +233,8 @@ def criterion_10_numerical_hygiene() -> CriterionResult:
         problems.append(f"dt-halving fidelity change {fid_dev:.2e}")
 
     # Bessel inversion round trip
-    y = np.linspace(0.0, bessel_j1(1.8411837813406593) * 0.9999, 1000)
-    bessel_dev = float(np.abs(bessel_j1(invert_bessel_j1(y)) - y).max())
+    y = np.linspace(0.0, J1_MAX * 0.9999, 1000)
+    bessel_dev = float(np.abs(j1(invert_bessel_j1(y)) - y).max())
     if bessel_dev >= 1e-10:
         problems.append(f"bessel round-trip error {bessel_dev:.2e}")
 

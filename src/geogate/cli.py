@@ -25,7 +25,7 @@ from .dynamics import (
     build_two_qubit_drive,
     evolve_schrodinger,
     two_qubit_full_hamiltonian,
-    IDX_02, IDX_11, IDX_20,
+    IDX_02, IDX_11, IDX_20, LEVELS,
 )
 from .fidelity import (
     average_gate_fidelity_1q,
@@ -197,13 +197,14 @@ def cmd_scan(args) -> int:
     rates = _rates(config)
     variants = gate_variants(gate, _budget(config, args), include, style)
     values = np.linspace(lo, hi, n_points)
+    # every axis is scanned before any file is written, so a bad axis leaves no output
+    scans = [robustness_scan(variants, axis, values, rates=rates,
+                             dt=_dt(config, args, default=0.01)) for axis in axes]
     out_dir = _out_dir(config, args)
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
     i0 = int(np.argmin(np.abs(values)))  # the grid point nearest zero error
-    for axis in axes:
-        scan = robustness_scan(variants, axis, values, rates=rates,
-                               dt=_dt(config, args, default=0.01))
+    for axis, scan in zip(axes, scans):
         out = os.path.join(out_dir, f"scan_{gate}_{axis}.csv")
         scan.to_csv(out)
         outputs.append(out)
@@ -227,7 +228,7 @@ def cmd_two_qubit(args) -> int:
     gamma_prime = tq.get("gamma_g_prime_over_pi", 0.25) * math.pi
     coeffs = tuple(tq.get("coeffs", TWO_QUBIT_COEFFS))
     model = args.model or tq.get("model", "full")
-    rates = _rates(config) if model == "full" else DecoherenceRates()
+    rates = _rates(config)
     dt = _dt(config, args)
     if gamma_prime == 0.0:
         print("fidelity=1.000000")
@@ -245,7 +246,7 @@ def cmd_two_qubit(args) -> int:
     outputs = []
     if model == "full":
         sampler = two_qubit_full_hamiltonian(params, drive)
-        psi0 = np.zeros(9, dtype=complex)
+        psi0 = np.zeros(len(LEVELS), dtype=complex)
         psi0[IDX_11] = 1.0
         res = evolve_schrodinger(sampler, psi0, (0.0, drive.tau), dt,
                                  record_stride=config.get("record_stride", 200))

@@ -4,8 +4,9 @@ Four models share one fixed-step RK4 core (see "Integrator" below):
 
 * two-level qubit driven by a synthesized pulse,
 * three-level transmon with the second excited state as leakage target,
-* two capacitively coupled transmons (9 levels, interaction picture) with
-  a flux modulation on the second qubit,
+* two capacitively coupled transmons (interaction picture) with a flux
+  modulation on the second qubit, on the six levels |k_a k_b> with
+  k_a + k_b <= 2,
 * the effective two-level reduction of the coupled pair in the
   {|11>, |02>} subspace.
 
@@ -15,6 +16,12 @@ Open-system evolution follows
 
 with decay sigma_- = |0><1| and dephasing sigma_z = |1><1| - |0><0| embedded
 per qubit (higher levels undamped).
+
+Six levels of the coupled pair are exact, not a truncation.  Every
+exchange term of its Hamiltonian (|10><01|, |11><02|, |20><11|) conserves
+the excitation number N = k_a + k_b, decay lowers N and dephasing is
+diagonal, so no input with N <= 2 (the computational states among them)
+ever reaches |12>, |21> or |22>.
 
 Drive convention and error model (one source: ``_drive_hamiltonian``).  In
 the frame rotating at the drive frequency a ``DrivePulse`` with detuning
@@ -39,14 +46,11 @@ Integrator.  Both equations are linear, y' = A(t) y, so one RK4 formula
 matrices the Liouvillian in row-major vec form, vec(X rho Y) =
 (X kron Y^T) vec(rho), i.e. A = -i (H kron I - I kron H^T) + D with the
 dissipator D built once per call.  Generators are built per chunk of steps
-under a fixed byte budget.  Up to dimension 16 (two- and three-level
-density matrices, kets up to nine levels, scans with their point axis) the
-formula applied to the identity gives every step map of a chunk at once,
-held as its difference from the identity; a pairwise tree product
-composes them and the product acts on the states.
-Chunks hold whole record intervals, so recorded states come from running
-products of the interval maps.  Larger generators (the nine-level density
-matrix, 81 x 81) step the state columns with the same formula instead.
+under a fixed byte budget.  The formula applied to the identity gives
+every step map of a chunk at once, held as its difference from the
+identity; a pairwise tree product composes them and the product acts on
+the states.  Chunks hold whole record intervals, so recorded states come
+from running products of the interval maps.
 """
 
 from __future__ import annotations
@@ -64,12 +68,6 @@ from .pulses import DrivePulse
 
 DEFAULT_DT = 0.001  # ns
 _CHUNK_BYTES = 1 << 17   # bytes of generator samples built at once
-_COMPOSE_MAX_DIM = 16    # larger generators step the states instead of building step maps
-_BLOCK = 8               # state columns per product when stepping
-
-
-class ConvergenceError(RuntimeError):
-    """Step-size rejection: halving dt moved the final state too much."""
 
 
 @dataclass(frozen=True)
@@ -234,19 +232,20 @@ def subspace_frame_unitary(drive: TwoQubitDrive, ts) -> np.ndarray:
     """Diagonal frame change aligning the interaction picture with the
     effective-model frame in which the control phase is defined."""
     S = subspace_frame_phase(drive, ts)[-1]
-    U = np.eye(9, dtype=complex)
-    U[4, 4] = np.exp(-1j * S / 2)   # |11>
-    U[2, 2] = np.exp(+1j * S / 2)   # |02>
+    U = np.eye(len(LEVELS), dtype=complex)
+    U[IDX_11, IDX_11] = np.exp(-1j * S / 2)
+    U[IDX_02, IDX_02] = np.exp(+1j * S / 2)
     return U
 
 
-# product basis |k_a k_b>, index 3*k_a + k_b
-IDX_01, IDX_02, IDX_10, IDX_11, IDX_20 = 1, 2, 3, 4, 6
+# levels |k_a k_b> of the coupled pair, in state-index order: all with k_a + k_b <= 2
+LEVELS = ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
+IDX_01, IDX_10, IDX_02, IDX_11, IDX_20 = map(LEVELS.index, ((0, 1), (1, 0), (0, 2), (1, 1), (2, 0)))
 COMPUTATIONAL_IDX = (0, IDX_01, IDX_10, IDX_11)
 
 
 def two_qubit_full_hamiltonian(params: TransmonParams, drive: TwoQubitDrive):
-    """Interaction-picture sampler for the coupled pair (9 levels).
+    """Interaction-picture sampler for the coupled pair (the six ``LEVELS``).
 
     Exchange terms |10><01|, sqrt(2)|11><02| and sqrt(2)|20><11| rotate at
     Delta, Delta + anh_b and Delta - anh_a respectively, all modulated by
@@ -264,7 +263,7 @@ def two_qubit_full_hamiltonian(params: TransmonParams, drive: TwoQubitDrive):
         c1 = params.g * np.exp(1j * params.Delta * ts) * mod
         c2 = math.sqrt(2) * params.g * np.exp(1j * (params.Delta + params.anh_b) * ts) * mod
         c3 = math.sqrt(2) * params.g * np.exp(1j * (params.Delta - params.anh_a) * ts) * mod
-        H = np.zeros(ts.shape + (9, 9), dtype=complex)
+        H = np.zeros(ts.shape + (len(LEVELS),) * 2, dtype=complex)
         H[..., IDX_10, IDX_01] = c1
         H[..., IDX_01, IDX_10] = np.conj(c1)
         H[..., IDX_11, IDX_02] = c2
@@ -313,18 +312,24 @@ def qubit_collapse(rates: DecoherenceRates, dim: int = 2):
 
 
 def two_qubit_collapse(rates: DecoherenceRates):
-    """Per-qubit decay and dephasing in the 9-level product space."""
+    """Per-qubit decay and dephasing on the six ``LEVELS``.
+
+    The operators of the product space (index 3 k_a + k_b), restricted to
+    the kept levels; exact, because none of them raises k_a + k_b.
+    """
+    kept = [3 * a + b for a, b in LEVELS]
+    kept = np.ix_(kept, kept)
     I3 = np.eye(3, dtype=complex)
     sm = np.zeros((3, 3), dtype=complex)
     sm[0, 1] = 1.0
     sz = np.diag([-1.0, 1.0, 0.0]).astype(complex)
     ops = []
     if rates.gamma_decay:
-        ops.append((rates.gamma_decay, np.kron(sm, I3)))
-        ops.append((rates.gamma_decay, np.kron(I3, sm)))
+        ops.append((rates.gamma_decay, np.kron(sm, I3)[kept]))
+        ops.append((rates.gamma_decay, np.kron(I3, sm)[kept]))
     if rates.kappa_dephase:
-        ops.append((rates.kappa_dephase, np.kron(sz, I3)))
-        ops.append((rates.kappa_dephase, np.kron(I3, sz)))
+        ops.append((rates.kappa_dephase, np.kron(sz, I3)[kept]))
+        ops.append((rates.kappa_dephase, np.kron(I3, sz)[kept]))
     return ops
 
 
@@ -408,16 +413,7 @@ def _evolve(hamiltonian, y0, t_span, dt, record_stride, generator):
     H = H.reshape(H.shape[:1] + (1,) * (len(batch) - len(hb)) + H.shape[1:])
     y = np.broadcast_to(np.asarray(y0, dtype=complex), batch + np.shape(y0)[-1:])
     dim = y.shape[-1]
-    # one generator for all states: they are stepped as zero-padded blocks of
-    # columns, so that every product stays a small one-thread GEMM
-    stepped = dim > _COMPOSE_MAX_DIM and math.prod(hb) == 1
-    if stepped:
-        m = math.prod(batch)
-        Y = np.zeros((-(-m // _BLOCK) * _BLOCK, dim), dtype=complex)
-        Y[:m] = y.reshape(m, dim)
-        Y = Y.reshape(-1, _BLOCK, dim).swapaxes(1, 2)
-    else:
-        Y = y[..., None]
+    Y = y[..., None]
     # chunks hold whole record intervals, or split one that exceeds the budget
     stride = record_stride or n_steps
     c = max(1, _CHUNK_BYTES // (32 * dim * dim * math.prod(hb)))
@@ -427,23 +423,14 @@ def _evolve(hamiltonian, y0, t_span, dt, record_stride, generator):
     records, ends = [Y[None]], [0]
     for k0, k1 in zip(starts, starts[1:] + [n_steps]):
         A = generator(H[2 * k0:2 * k1 + 1])
-        if stepped:
-            A, Ys = A.reshape(-1, dim, dim), []
-            for k in range(k1 - k0):
-                Y = Y + _rk4_increment(A[2 * k], A[2 * k + 1], A[2 * k + 2], Y, h)
-                Ys.append(Y)
-            Ys, steps = np.stack(Ys), np.arange(k0 + 1, k1 + 1)
-        else:
-            P = _interval_maps(_rk4_increment(A[:-1:2], A[1::2], A[2::2], np.eye(dim), h), stride)
-            Ys = Y + P @ Y
-            steps = k0 + np.minimum(np.arange(1, len(P) + 1) * stride, k1 - k0)
+        P = _interval_maps(_rk4_increment(A[:-1:2], A[1::2], A[2::2], np.eye(dim), h), stride)
+        Ys = Y + P @ Y
+        steps = k0 + np.minimum(np.arange(1, len(P) + 1) * stride, k1 - k0)
         Y = Ys[-1]
         keep = (steps % stride == 0) | (steps == n_steps)
         records.append(Ys[keep])
         ends.extend(steps[keep])
-    Ys = np.concatenate(records) if record_stride else Y[None]
-    Ys = (Ys.swapaxes(-1, -2).reshape(len(Ys), -1, dim)[:, :m].reshape((len(Ys),) + y.shape)
-          if stepped else Ys[..., 0])
+    Ys = (np.concatenate(records) if record_stride else Y[None])[..., 0]
     if record_stride:
         return EvolutionResult(ts[2 * np.array(ends)], Ys, recorded=True)
     return EvolutionResult(np.array([ts[-1]]), Ys[0], recorded=False)
@@ -477,27 +464,17 @@ def _liouvillian(collapse, d):
 
 
 def evolve_lindblad(hamiltonian, rho0, collapse=(), t_span=None, dt=DEFAULT_DT,
-                    record_stride: int | None = None, check_convergence: bool = False,
-                    convergence_tol: float = 1e-6) -> EvolutionResult:
+                    record_stride: int | None = None) -> EvolutionResult:
     """Fixed-step RK4 integration of the master equation.
 
     ``rho0`` may carry leading batch axes; ``hamiltonian(ts)`` may return
     matching batch axes (broadcast rules apply).  ``collapse`` is a list of
     (rate, operator) pairs entering as (rate/2) * (2 L rho L+ - {L+L, rho}).
-    With ``check_convergence`` the evolution is repeated at dt/2 and the
-    run is rejected if the final states differ beyond ``convergence_tol``.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[-1]
     vec0 = rho0.reshape(rho0.shape[:-2] + (d * d,))
-    generator = _liouvillian(collapse, d)
-    result = _evolve(hamiltonian, vec0, t_span, dt, record_stride, generator)
-    if check_convergence:
-        fine = _evolve(hamiltonian, vec0, t_span, dt / 2, None, generator)
-        diff = np.abs(result.final - fine.final).max()
-        if diff > convergence_tol:
-            raise ConvergenceError(
-                f"halving dt changed the final state by {diff:.3e} (> {convergence_tol:.1e})")
+    result = _evolve(hamiltonian, vec0, t_span, dt, record_stride, _liouvillian(collapse, d))
     result.states = result.states.reshape(result.states.shape[:-1] + (d, d))
     return result
 

@@ -33,6 +33,7 @@ from ._csv import write_csv
 from .dynamics import (
     DEFAULT_DT,
     COMPUTATIONAL_IDX,
+    LEVELS,
     _drive_hamiltonian,
     _half_step_grid,
     _warn_if_out_of_range,
@@ -159,7 +160,7 @@ def average_gate_fidelity_2q(params: TransmonParams, drive: TwoQubitDrive,
 
     if model == "full":
         sampler = two_qubit_full_hamiltonian(params, drive)
-        evolved = evolve_lindblad(sampler, _channel_basis(COMPUTATIONAL_IDX, 9),
+        evolved = evolve_lindblad(sampler, _channel_basis(COMPUTATIONAL_IDX, len(LEVELS)),
                                   two_qubit_collapse(rates), (0.0, drive.tau), dt).final
         ts, _, _ = _half_step_grid((0.0, drive.tau), dt)
         U = subspace_frame_unitary(drive, ts)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import j1
 
 from ._csv import write_csv
 from .paths import (
@@ -27,25 +28,9 @@ from .paths import (
     sample_trajectory,
 )
 
-# location of the first maximum of J1 and the series evaluated there
+# location of the first maximum of J1 and the value there
 J1_ARGMAX = 1.8411837813406593
-
-
-def bessel_j1(x):
-    """J1 by its ascending power series; accurate for |x| <= 2."""
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 2.2):
-        raise ValueError("power series evaluated outside its validated domain |x| <= 2.2")
-    half = x / 2.0
-    term = half.copy()
-    total = term.copy()
-    for m in range(1, 25):
-        term = term * (-(half * half) / (m * (m + 1)))
-        total = total + term
-    return float(total) if total.ndim == 0 else total
-
-
-J1_MAX = float(bessel_j1(J1_ARGMAX))
+J1_MAX = float(j1(J1_ARGMAX))
 
 
 def invert_bessel_j1(y, tol: float = 1e-12):
@@ -59,7 +44,7 @@ def invert_bessel_j1(y, tol: float = 1e-12):
     hi = np.full_like(vals, J1_ARGMAX)
     while np.max(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
-        below = bessel_j1(mid) < vals
+        below = j1(mid) < vals
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     x = 0.5 * (lo + hi)

@@ -147,6 +147,18 @@ class TestTwoQubit:
         assert float(lines["fidelity"]) >= 0.9999
         assert abs(float(lines["tau_ns"]) - 43.5) < 0.5
 
+    def test_effective_model_rejects_rates(self, tmp_path):
+        cfg = write_config(tmp_path, "tqr.json", {
+            "gamma_khz": 300.0, "kappa_khz": 300.0, "dt_ns": 0.005,
+            "two_qubit": {"model": "effective"},
+            "out_dir": str(tmp_path / "tqr"),
+        })
+        r = run_cli(["two-qubit", "--config", cfg], tmp_path)
+        assert r.returncode == 1
+        payload = json.loads(r.stderr[len("error: "):])
+        assert payload["type"] == "ValueError"
+        assert "closed-system" in payload["message"]
+
     def test_zero_phase_is_identity(self, tmp_path):
         cfg = write_config(tmp_path, "tq0.json", {
             "two_qubit": {"gamma_g_prime_over_pi": 0.0},
@@ -233,6 +245,19 @@ class TestErrors:
         payload = json.loads(r.stderr[len("error: "):])
         assert payload["type"] == "ValueError"
         assert "'epsilon'" in payload["message"] and "'delta'" in payload["message"]
+
+    def test_bad_second_axis_writes_nothing(self, tmp_path):
+        out = tmp_path / "partial"
+        out.mkdir()
+        cfg = write_config(tmp_path, "partial.json", {
+            "gate": "pi8", "dt_ns": 0.05,
+            "scan": {"axes": ["epsilon", "grid2d"], "points": 3, "variants": ["geometric"]},
+            "out_dir": str(out),
+        })
+        r = run_cli(["scan", "--config", cfg], tmp_path)
+        assert r.returncode == 1
+        assert json.loads(r.stderr[len("error: "):])["type"] == "ValueError"
+        assert list(out.iterdir()) == []
 
 
 class TestConfigHelpers:

@@ -6,7 +6,7 @@ from scipy.special import j1 as scipy_j1
 
 from geogate import dynamics
 from geogate.dynamics import (
-    ConvergenceError,
+    COMPUTATIONAL_IDX,
     DecoherenceRates,
     ErrorFractions,
     TransmonParams,
@@ -25,7 +25,7 @@ from geogate.dynamics import (
     two_level_hamiltonian,
     two_qubit_collapse,
     two_qubit_full_hamiltonian,
-    IDX_01, IDX_02, IDX_10, IDX_11, IDX_20,
+    IDX_01, IDX_02, IDX_10, IDX_11, IDX_20, LEVELS,
 )
 from geogate.paths import sample_trajectory
 from geogate.pulses import (
@@ -107,21 +107,6 @@ class TestLindbladBasics:
                                      (0.0, pulse.tau), dt=0.01).final
             assert np.allclose(batched[i], single, atol=1e-14)
 
-    def test_convergence_guard_passes_for_fine_dt(self):
-        pulse = synthesize(CATALOG["pi8"], grid_points=801)
-        sampler = two_level_hamiltonian(pulse)
-        rho0 = ket_dm([1.0, 1.0])
-        evolve_lindblad(sampler, rho0, qubit_collapse(RATES), (0.0, pulse.tau),
-                        dt=0.01, check_convergence=True)
-
-    def test_convergence_guard_rejects_coarse_dt(self):
-        pulse = synthesize(CATALOG["pi8"], grid_points=801)
-        sampler = two_level_hamiltonian(pulse)
-        rho0 = ket_dm([1.0, 1.0])
-        with pytest.raises(ConvergenceError):
-            evolve_lindblad(sampler, rho0, qubit_collapse(RATES), (0.0, pulse.tau),
-                            dt=3.0, check_convergence=True)
-
     def test_recorded_trajectory_endpoints(self):
         rho0 = ket_dm([0.0, 1.0])
         res = evolve_lindblad(zero_hamiltonian(2), rho0,
@@ -173,15 +158,15 @@ STRONG = DecoherenceRates(gamma_decay=0.02, kappa_dephase=0.03)
 
 def two_qubit_inputs():
     params, drive = two_qubit_drive(grid_points=801)
-    basis = np.zeros((3, 9, 9), dtype=complex)
+    basis = np.zeros((3, 6, 6), dtype=complex)
     basis[0, IDX_11, IDX_11] = 1.0
     basis[1, IDX_01, IDX_11] = 1.0
-    basis[2] = ket_dm(np.eye(9)[0] + np.eye(9)[IDX_10])
+    basis[2] = ket_dm(np.eye(6)[0] + np.eye(6)[IDX_10])
     return two_qubit_full_hamiltonian(params, drive), basis
 
 
 class TestRK4Core:
-    """The composed and the stepped core against a plain per-step RK4."""
+    """The composed core against a plain per-step RK4."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_lindblad_decay_and_dephasing(self, dim):
@@ -212,7 +197,7 @@ class TestRK4Core:
         assert got.shape == (5, 4, 2, 2)
         assert np.abs(got - ref).max() <= 1e-12
 
-    def test_nine_level_lindblad_steps(self):
+    def test_six_level_lindblad(self):
         sampler, rho0 = two_qubit_inputs()
         collapse = two_qubit_collapse(STRONG)
         got = evolve_lindblad(sampler, rho0, collapse, (0.0, 3.0), dt=0.01,
@@ -222,9 +207,9 @@ class TestRK4Core:
         assert np.array_equal(got.times, times)
         assert np.abs(got.states - ref).max() <= 1e-12
 
-    def test_nine_level_schrodinger(self):
+    def test_six_level_schrodinger(self):
         sampler, _ = two_qubit_inputs()
-        psi0 = np.eye(9, dtype=complex)[[IDX_11, IDX_01]]
+        psi0 = np.eye(6, dtype=complex)[[IDX_11, IDX_01]]
         got = evolve_schrodinger(sampler, psi0, (0.0, 20.0), dt=0.01).final
         ref = reference_rk4(sampler, psi0, schrodinger_rhs, (0.0, 20.0), 0.01)
         assert np.abs(got - ref).max() <= 1e-12
@@ -509,9 +494,9 @@ class TestTwoQubitHamiltonians:
         params, drive = two_qubit_drive(grid_points=4001)
         full = two_qubit_full_hamiltonian(params, drive)
         eff = effective_two_qubit_hamiltonian(drive)
-        psi9 = np.zeros(9, dtype=complex)
-        psi9[IDX_11] = 1.0
-        res_full = evolve_schrodinger(full, psi9, (0.0, drive.tau), dt=0.001,
+        psi6 = np.zeros(6, dtype=complex)
+        psi6[IDX_11] = 1.0
+        res_full = evolve_schrodinger(full, psi6, (0.0, drive.tau), dt=0.001,
                                       record_stride=500)
         res_eff = evolve_schrodinger(eff, np.array([1.0, 0.0], dtype=complex),
                                      (0.0, drive.tau), dt=0.001, record_stride=500)
@@ -530,9 +515,9 @@ class TestTwoQubitHamiltonians:
         broken = dataclasses.replace(
             drive, Delta_prime=np.zeros_like(drive.Delta_prime))
         full = two_qubit_full_hamiltonian(params, broken)
-        psi9 = np.zeros(9, dtype=complex)
-        psi9[IDX_11] = 1.0
-        res_full = evolve_schrodinger(full, psi9, (0.0, drive.tau), dt=0.001,
+        psi6 = np.zeros(6, dtype=complex)
+        psi6[IDX_11] = 1.0
+        res_full = evolve_schrodinger(full, psi6, (0.0, drive.tau), dt=0.001,
                                       record_stride=2000)
         eff = effective_two_qubit_hamiltonian(drive)
         res_eff = evolve_schrodinger(eff, np.array([1.0, 0.0], dtype=complex),
@@ -551,11 +536,63 @@ class TestTwoQubitHamiltonians:
         expected = simpson(np.interp(ts, drive.t, drive.Delta_prime), x=ts)
         assert S[-1] == pytest.approx(expected, rel=1e-6)
 
+    def test_six_levels_are_the_exact_block_of_nine(self):
+        # the coupled pair on all nine product levels |k_a k_b> (index
+        # 3 k_a + k_b), with its exchange terms and collapse operators built
+        # from np.kron; the three exchange coefficients come from the
+        # six-level sampler
+        params, drive = two_qubit_drive(grid_points=801)
+        six = two_qubit_full_hamiltonian(params, drive)
+
+        def unit(i, j):
+            e = np.zeros((3, 3), dtype=complex)
+            e[i, j] = 1.0
+            return e
+
+        exchange = [(IDX_10, IDX_01, np.kron(unit(1, 0), unit(0, 1))),
+                    (IDX_11, IDX_02, np.kron(unit(1, 0), unit(1, 2))),
+                    (IDX_20, IDX_11, np.kron(unit(2, 1), unit(0, 1)))]
+
+        def nine(ts):
+            H6 = six(ts)
+            H = sum(H6[:, i, j, None, None] * op for i, j, op in exchange)
+            return H + np.conj(np.swapaxes(H, -1, -2))
+
+        I3, sm, sz = np.eye(3), unit(0, 1), np.diag([-1.0, 1.0, 0.0])
+        collapse9 = [(STRONG.gamma_decay, np.kron(sm, I3)), (STRONG.gamma_decay, np.kron(I3, sm)),
+                     (STRONG.kappa_dephase, np.kron(sz, I3)),
+                     (STRONG.kappa_dephase, np.kron(I3, sz))]
+        kept = [3 * a + b for a, b in LEVELS]
+        assert LEVELS == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
+
+        # no exchange term couples one excitation number to another, and the
+        # six-level sampler is the kept block of the nine-level Hamiltonian
+        ts = np.linspace(0.0, drive.tau, 41)
+        H9 = nine(ts)
+        n9 = np.add.outer(np.arange(3), np.arange(3)).ravel()
+        assert np.all(H9[:, n9[:, None] != n9[None, :]] == 0.0)
+        assert np.array_equal(six(ts), H9[:, kept][:, :, kept])
+
+        # the 16 computational |a><b| evolve identically, and the dropped
+        # levels stay exactly empty
+        comp9 = [kept[i] for i in COMPUTATIONAL_IDX]
+        rho9 = np.zeros((16, 9, 9), dtype=complex)
+        rho6 = np.zeros((16, 6, 6), dtype=complex)
+        for n, (a, b) in enumerate((a, b) for a in range(4) for b in range(4)):
+            rho9[n, comp9[a], comp9[b]] = 1.0
+            rho6[n, COMPUTATIONAL_IDX[a], COMPUTATIONAL_IDX[b]] = 1.0
+        ref = reference_rk4(nine, rho9, lindblad_rhs(collapse9), (0.0, 3.0), 0.01)
+        got = evolve_lindblad(six, rho6, two_qubit_collapse(STRONG), (0.0, 3.0), dt=0.01).final
+        assert np.abs(got - ref[:, kept][:, :, kept]).max() <= 1e-12
+        dropped = [k for k in range(9) if k not in kept]
+        assert np.all(ref[:, dropped, :] == 0.0) and np.all(ref[:, :, dropped] == 0.0)
+        assert np.abs(ref[:, kept][:, :, kept] - rho9[:, kept][:, :, kept]).max() > 1e-3
+
     def test_collapse_sets(self):
         ops2 = two_qubit_collapse(RATES)
         assert len(ops2) == 4
         for rate, L in ops2:
-            assert L.shape == (9, 9)
+            assert L.shape == (6, 6)
         ops1 = qubit_collapse(RATES, 3)
         assert ops1[0][1][0, 1] == 1.0
         assert ops1[1][1][2, 2] == 0.0

@@ -298,7 +298,7 @@ class TestAverageGateFidelity2q:
 
     def test_full_model_matches_product_state_trapezoid(self):
         # reference: evolve every product state of a 7x7 theta grid in the
-        # 9-level model and average by the trapezoid rule
+        # six-level model and average by the trapezoid rule
         params = paper_params()
         spec = CATALOG["phase"]
         pulse = synthesize(spec, default_schedule(spec, TWO_QUBIT_COEFFS),
@@ -307,14 +307,14 @@ class TestAverageGateFidelity2q:
         rates = DecoherenceRates(gamma_decay=TWO_PI * 3e-4, kappa_dephase=TWO_PI * 2e-4)
         dt = 0.05
         kets, w = product_theta_kets(7)
-        kets9 = np.zeros((len(kets), 9), dtype=complex)
-        kets9[:, list(COMPUTATIONAL_IDX)] = kets
+        kets6 = np.zeros((len(kets), 6), dtype=complex)
+        kets6[:, list(COMPUTATIONAL_IDX)] = kets
         rho = evolve_lindblad(two_qubit_full_hamiltonian(params, drive),
-                              np.einsum("ni,nj->nij", kets9, kets9.conj()),
+                              np.einsum("ni,nj->nij", kets6, kets6.conj()),
                               two_qubit_collapse(rates), (0.0, drive.tau), dt).final
         U = subspace_frame_unitary(drive, _half_step_grid((0.0, drive.tau), dt)[0])
         rho = U.conj().T @ rho @ U
-        finals = np.zeros_like(kets9)
+        finals = np.zeros_like(kets6)
         finals[:, list(COMPUTATIONAL_IDX)] = kets @ target_unitary_2q(drive.gamma_g_prime).T
         f = np.einsum("ni,nij,nj->n", finals.conj(), rho, finals).real
         exact = average_gate_fidelity_2q(params, drive, rates=rates, model="full", dt=dt)
