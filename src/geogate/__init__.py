@@ -11,8 +11,6 @@ from .paths import (
     PathSpec,
     PathTrajectory,
     ScheduleBase,
-    alpha_max,
-    alpha_of_beta,
     beta_schedule,
     circle_constant,
     geometric_phase,

@@ -30,6 +30,7 @@ from .dynamics import (
 from .fidelity import (
     average_gate_fidelity_1q,
     average_gate_fidelity_2q,
+    check_two_qubit_model,
     fidelity_dynamics,
     gate_variants,
     robustness_scan,
@@ -229,8 +230,12 @@ def cmd_two_qubit(args) -> int:
     coeffs = tuple(tq.get("coeffs", TWO_QUBIT_COEFFS))
     model = args.model or tq.get("model", "full")
     rates = _rates(config)
+    check_two_qubit_model(model, rates)
     dt = _dt(config, args)
+    out_dir = _out_dir(config, args)
     if gamma_prime == 0.0:
+        # a zero phase is the identity gate: no drive, nothing to evolve
+        write_manifest(out_dir, "two-qubit", config, args.seed, [])
         print("fidelity=1.000000")
         print("tau_ns=0.000000")
         return 0
@@ -241,7 +246,6 @@ def cmd_two_qubit(args) -> int:
                        config.get("grid_points", 4001))
     drive = build_two_qubit_drive(params, pulse, gamma_prime)
     fid = average_gate_fidelity_2q(params, drive, rates=rates, model=model, dt=dt)
-    out_dir = _out_dir(config, args)
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
     if model == "full":

@@ -136,6 +136,14 @@ def average_gate_fidelity_1q(pulse: DrivePulse, target: np.ndarray,
     return float(_average_fidelity(evolved, target, QUBIT_IDX))
 
 
+def check_two_qubit_model(model: str, rates: DecoherenceRates):
+    """Reject an unknown two-qubit model, and rates on the closed-system one."""
+    if model not in ("full", "effective"):
+        raise ValueError(f"unknown two-qubit model {model!r}")
+    if model == "effective" and not rates.is_zero:
+        raise ValueError("the effective two-level model is closed-system")
+
+
 def average_gate_fidelity_2q(params: TransmonParams, drive: TwoQubitDrive,
                              rates: DecoherenceRates | None = None,
                              model: str = "full", n_theta: int | None = None,
@@ -145,11 +153,10 @@ def average_gate_fidelity_2q(params: TransmonParams, drive: TwoQubitDrive,
     ``n_theta`` is accepted and has no effect: the average is exact.
     """
     rates = rates or DecoherenceRates()
+    check_two_qubit_model(model, rates)
     target = target_unitary_2q(drive.gamma_g_prime)
 
     if model == "effective":
-        if not rates.is_zero:
-            raise ValueError("the effective two-level model is closed-system")
         sampler = effective_two_qubit_hamiltonian(drive)
         psi = evolve_schrodinger(sampler, np.array([1.0, 0.0], dtype=complex),
                                  (0.0, drive.tau), dt).final
@@ -158,16 +165,13 @@ def average_gate_fidelity_2q(params: TransmonParams, drive: TwoQubitDrive,
         evolved = V @ _channel_basis(idx, 4) @ V.conj().T
         return float(_average_fidelity(evolved, target, idx))
 
-    if model == "full":
-        sampler = two_qubit_full_hamiltonian(params, drive)
-        evolved = evolve_lindblad(sampler, _channel_basis(COMPUTATIONAL_IDX, len(LEVELS)),
-                                  two_qubit_collapse(rates), (0.0, drive.tau), dt).final
-        ts, _, _ = _half_step_grid((0.0, drive.tau), dt)
-        U = subspace_frame_unitary(drive, ts)
-        evolved = U.conj().T @ evolved @ U
-        return float(_average_fidelity(evolved, target, COMPUTATIONAL_IDX))
-
-    raise ValueError(f"unknown two-qubit model {model!r}")
+    sampler = two_qubit_full_hamiltonian(params, drive)
+    evolved = evolve_lindblad(sampler, _channel_basis(COMPUTATIONAL_IDX, len(LEVELS)),
+                              two_qubit_collapse(rates), (0.0, drive.tau), dt).final
+    ts, _, _ = _half_step_grid((0.0, drive.tau), dt)
+    U = subspace_frame_unitary(drive, ts)
+    evolved = U.conj().T @ evolved @ U
+    return float(_average_fidelity(evolved, target, COMPUTATIONAL_IDX))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ first-kind Bessel inversion used by the two-qubit drive construction.
 
 The objective is the normalized gate duration: sample the loop for a trial
 coefficient vector, take the peak of the dimensionless envelope, divide by
-the amplitude budget.  Trial vectors must keep the azimuth monotone
-(beta_dot >= 0, so the single-valued polar-angle relation stays well
-defined) and must leave the loop phase untouched; violations are rejected
-with an infinite objective.
+the amplitude budget.  Trials outside the coefficient box score +inf, and
+so, with ``monotone`` set, do trials whose azimuth turns back (beta_dot < 0
+somewhere, tested before the polar angle is computed).  The loop phase is
+not checked: it is (1/2) * integral of (1 - cos alpha) d(beta) over a fixed
+azimuth window, so no schedule can change it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .paths import (
     DEFAULT_GRID_POINTS,
     BetaSchedule,
     PathSpec,
-    geometric_phase,
+    beta_schedule,
     sample_trajectory,
 )
 
@@ -86,8 +87,7 @@ class OptimizationResult:
 
 
 def objective(coeffs, spec: PathSpec, budget, bound: float = 0.2,
-              monotone: bool = True, grid_points: int = DEFAULT_GRID_POINTS,
-              phase_tol: float = 1e-6) -> float:
+              monotone: bool = True, grid_points: int = DEFAULT_GRID_POINTS) -> float:
     """Normalized duration for a trial coefficient vector; +inf on rejection."""
     from .pulses import default_schedule, normalize_duration
 
@@ -95,12 +95,9 @@ def objective(coeffs, spec: PathSpec, budget, bound: float = 0.2,
     if any(abs(a) > bound for a in coeffs):
         return math.inf
     schedule = default_schedule(spec, coeffs)
-    traj = sample_trajectory(spec, schedule, grid_points)
-    if monotone and traj.dbeta_ds.min() < 0.0:
+    if monotone and beta_schedule(schedule, grid_points)[2].min() < 0.0:
         return math.inf
-    if abs(geometric_phase(traj) - spec.gamma_g) > phase_tol:
-        return math.inf
-    return normalize_duration(traj, budget)
+    return normalize_duration(sample_trajectory(spec, schedule, grid_points), budget)
 
 
 def optimize(problem: OptimizationProblem, seed: int = 0, n_starts: int = 16,

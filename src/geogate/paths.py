@@ -28,6 +28,7 @@ reshape the drive envelope.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,9 +39,6 @@ SIN_PI_12 = math.sin(math.pi / 12)
 COS_PI_12 = math.cos(math.pi / 12)
 
 DEFAULT_GRID_POINTS = 4001
-
-# window slop for folding float noise at the schedule endpoints
-_WINDOW_TOL = 1e-12
 
 
 class PathKind(enum.Enum):
@@ -117,28 +115,6 @@ def circle_constant(gamma_g: float) -> float:
     return math.sqrt(2 * math.pi * gamma_g - gamma_g**2) / (math.pi - gamma_g)
 
 
-def alpha_max(gamma_g: float) -> float:
-    """Largest polar angle reached by the pole-start circle."""
-    if not 0.0 <= gamma_g <= math.pi:
-        raise ValueError(f"loop phase must lie in [0, pi], got {gamma_g}")
-    return 2.0 * math.acos(1.0 - gamma_g / math.pi)
-
-
-def alpha_of_beta(gamma_g: float, beta):
-    """Polar angle of the pole-start circle at azimuth ``beta``.
-
-    Defined on the half-turn window beta in [pi/2, 3pi/2] where the sine
-    factor is non-negative.
-    """
-    C = circle_constant(gamma_g)
-    beta = np.asarray(beta, dtype=float)
-    sin_fac = np.sin(beta - math.pi / 2)
-    if np.any(sin_fac < -_WINDOW_TOL):
-        raise ValueError("azimuth outside the half-turn window [pi/2, 3pi/2]")
-    alpha = 2.0 * np.arctan(C * np.clip(sin_fac, 0.0, None))
-    return float(alpha) if alpha.ndim == 0 else alpha
-
-
 def hadamard_alpha_of_beta(beta):
     """Polar angle of the Hadamard loop at azimuth ``beta``.
 
@@ -166,25 +142,40 @@ def hadamard_dalpha_dbeta(alpha, beta):
     return num / den
 
 
-def beta_schedule(s, schedule: BetaSchedule):
-    """Azimuth and its derivative with respect to normalized time.
+@functools.lru_cache(maxsize=8)
+def _schedule_basis(base: ScheduleBase, grid_points: int):
+    """Grid s, the base azimuth and its derivative, and sin, cos(2 k pi s) for k = 1..3.
 
-    Half turn:  beta = pi/2 + pi sin^2(pi s / 2) + sum_k a_k sin(2 k pi s)
-    Full turn:  beta = 2 pi sin^2(pi s / 2) + sum_k a_k sin(2 k pi s)
+    Cached per (base, grid); every array is read-only, so no caller can
+    change what the next one reads.
     """
-    s = np.asarray(s, dtype=float)
-    if schedule.base is ScheduleBase.HALF_TURN:
+    s = np.linspace(0.0, 1.0, grid_points)
+    if base is ScheduleBase.HALF_TURN:
         beta = math.pi / 2 + math.pi * np.sin(math.pi * s / 2) ** 2
         dbeta = (math.pi**2 / 2) * np.sin(math.pi * s)
     else:
         beta = 2 * math.pi * np.sin(math.pi * s / 2) ** 2
         dbeta = math.pi**2 * np.sin(math.pi * s)
+    sin_k = tuple(np.sin(2 * k * math.pi * s) for k in (1, 2, 3))
+    cos_k = tuple(np.cos(2 * k * math.pi * s) for k in (1, 2, 3))
+    for array in (s, beta, dbeta, *sin_k, *cos_k):
+        array.flags.writeable = False
+    return s, beta, dbeta, sin_k, cos_k
+
+
+def beta_schedule(schedule: BetaSchedule, grid_points: int = DEFAULT_GRID_POINTS):
+    """Uniform grid s in [0, 1], the azimuth on it and its derivative d(beta)/ds.
+
+    Half turn:  beta = pi/2 + pi sin^2(pi s / 2) + sum_k a_k sin(2 k pi s)
+    Full turn:  beta = 2 pi sin^2(pi s / 2) + sum_k a_k sin(2 k pi s)
+    """
+    if grid_points < 2:
+        raise ValueError("need at least two grid points")
+    s, beta, dbeta, sin_k, cos_k = _schedule_basis(schedule.base, grid_points)
     for k, a_k in enumerate(schedule.coeffs, start=1):
-        beta = beta + a_k * np.sin(2 * k * math.pi * s)
-        dbeta = dbeta + 2 * k * math.pi * a_k * np.cos(2 * k * math.pi * s)
-    if s.ndim == 0:
-        return float(beta), float(dbeta)
-    return beta, dbeta
+        beta = beta + a_k * sin_k[k - 1]
+        dbeta = dbeta + 2 * k * math.pi * a_k * cos_k[k - 1]
+    return s, beta, dbeta
 
 
 def sample_trajectory(spec: PathSpec, schedule: BetaSchedule,
@@ -195,21 +186,18 @@ def sample_trajectory(spec: PathSpec, schedule: BetaSchedule,
     signed polar coordinate folds to |alpha|.  Loop integrals are even in
     alpha, so the accumulated phase is unaffected by the fold.
     """
-    if grid_points < 2:
-        raise ValueError("need at least two grid points")
     if spec.kind is PathKind.POLE_START and schedule.base is not ScheduleBase.HALF_TURN:
         raise ValueError("pole-start loops pair with the half-turn schedule")
     if spec.kind is PathKind.HADAMARD_START and schedule.base is not ScheduleBase.FULL_TURN:
         raise ValueError("Hadamard-start loops pair with the full-turn schedule")
-
-    s = np.linspace(0.0, 1.0, grid_points)
-    beta, dbeta = beta_schedule(s, schedule)
+    s, beta, dbeta = beta_schedule(schedule, grid_points)
 
     if spec.kind is PathKind.POLE_START:
         C = circle_constant(spec.gamma_g)
-        sin_fac = np.sin(beta - math.pi / 2)
+        phi = beta - math.pi / 2
+        sin_fac = np.sin(phi)
         signed = 2.0 * np.arctan(C * sin_fac)
-        dsigned = 2.0 * C * np.cos(beta - math.pi / 2) / (1.0 + (C * sin_fac) ** 2) * dbeta
+        dsigned = 2.0 * C * np.cos(phi) / (1.0 + (C * sin_fac) ** 2) * dbeta
         sign = np.where(signed < 0.0, -1.0, 1.0)
         alpha = np.abs(signed)
         dalpha = sign * dsigned

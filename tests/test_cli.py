@@ -162,10 +162,27 @@ class TestTwoQubit:
     def test_zero_phase_is_identity(self, tmp_path):
         cfg = write_config(tmp_path, "tq0.json", {
             "two_qubit": {"gamma_g_prime_over_pi": 0.0},
+            "out_dir": str(tmp_path / "tq0"),
         })
         r = run_cli(["two-qubit", "--config", cfg], tmp_path)
-        assert r.returncode == 0
+        assert r.returncode == 0, r.stderr
         assert "fidelity=1.000000" in r.stdout
+        manifest = json.loads((tmp_path / "tq0" / "manifest.json").read_text())
+        assert manifest["command"] == "two-qubit"
+        assert manifest["outputs"] == []
+
+    def test_zero_phase_effective_model_rejects_rates(self, tmp_path):
+        cfg = write_config(tmp_path, "tq0r.json", {
+            "gamma_khz": 300.0, "kappa_khz": 300.0,
+            "two_qubit": {"model": "effective", "gamma_g_prime_over_pi": 0.0},
+            "out_dir": str(tmp_path / "tq0r"),
+        })
+        r = run_cli(["two-qubit", "--config", cfg], tmp_path)
+        assert r.returncode == 1
+        payload = json.loads(r.stderr[len("error: "):])
+        assert payload["type"] == "ValueError"
+        assert "closed-system" in payload["message"]
+        assert not (tmp_path / "tq0r").exists()
 
     def test_full_model_coarse(self, tmp_path):
         # coarse step keeps the smoke test quick; the benchmark-grade run

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import j1 as scipy_j1
 
 from geogate.optimize import (
@@ -13,10 +14,87 @@ from geogate.optimize import (
     objective,
     optimize,
 )
-from geogate.paths import BetaSchedule, ScheduleBase, geometric_phase, sample_trajectory
+from geogate.paths import (
+    BetaSchedule,
+    PathKind,
+    ScheduleBase,
+    circle_constant,
+    geometric_phase,
+    sample_trajectory,
+)
 from geogate.pulses import CATALOG, DEFAULT_BUDGET, OPTIMIZED_COEFFS, default_schedule
 
 TWO_PI = 2 * math.pi
+SIN_PI_12 = math.sin(math.pi / 12)
+COS_PI_12 = math.cos(math.pi / 12)
+
+
+def reference_objective(coeffs, spec, budget, bound=0.2, grid_points=4001):
+    """The objective as written before the schedule basis was cached: a fresh
+    grid and fresh sines per call, the polar angle, then the envelope peak."""
+    coeffs = tuple(float(a) for a in coeffs)
+    if any(abs(a) > bound for a in coeffs):
+        return math.inf
+    s = np.linspace(0.0, 1.0, grid_points)
+    if spec.kind is PathKind.POLE_START:
+        beta = math.pi / 2 + math.pi * np.sin(math.pi * s / 2) ** 2
+        dbeta = (math.pi**2 / 2) * np.sin(math.pi * s)
+    else:
+        beta = 2 * math.pi * np.sin(math.pi * s / 2) ** 2
+        dbeta = math.pi**2 * np.sin(math.pi * s)
+    for k, a_k in enumerate(coeffs, start=1):
+        beta = beta + a_k * np.sin(2 * k * math.pi * s)
+        dbeta = dbeta + 2 * k * math.pi * a_k * np.cos(2 * k * math.pi * s)
+    if dbeta.min() < 0.0:
+        return math.inf
+    if spec.kind is PathKind.POLE_START:
+        C = circle_constant(spec.gamma_g)
+        sin_fac = np.sin(beta - math.pi / 2)
+        signed = 2.0 * np.arctan(C * sin_fac)
+        dsigned = 2.0 * C * np.cos(beta - math.pi / 2) / (1.0 + (C * sin_fac) ** 2) * dbeta
+        alpha = np.abs(signed)
+        dalpha = np.where(signed < 0.0, -1.0, 1.0) * dsigned
+    else:
+        a = 2 * SIN_PI_12 * np.cos(beta)
+        alpha = (math.pi - np.arctan2(a, 2 * COS_PI_12)
+                 - np.arccos(-1.0 / np.hypot(a, 2 * COS_PI_12)))
+        num = SIN_PI_12 * np.sin(alpha) * np.sin(beta)
+        den = SIN_PI_12 * np.cos(alpha) * np.cos(beta) + COS_PI_12 * np.sin(alpha)
+        dalpha = num / den * dbeta
+    xi = np.sqrt(dalpha**2 + (dbeta * np.sin(alpha) * np.cos(alpha)) ** 2)
+    return float(xi.max() / budget.omega0)
+
+
+def envelope_per_azimuth(spec):
+    """g(beta) = hypot(d alpha / d beta, sin alpha cos alpha) on the loop and its
+    beta window, from closed forms independent of the library."""
+    if spec.kind is PathKind.POLE_START:
+        C = circle_constant(spec.gamma_g)
+
+        def g(beta):
+            x = C * math.sin(beta - math.pi / 2)
+            alpha = 2 * math.atan(x)
+            dalpha = 2 * C * math.cos(beta - math.pi / 2) / (1 + x * x)
+            return math.hypot(dalpha, math.sin(alpha) * math.cos(alpha))
+        return g, (math.pi / 2, 3 * math.pi / 2)
+
+    def g(beta):
+        # A sin(alpha) - B cos(alpha) = -1, A = 2 sin(pi/12) cos(beta), B = 2 cos(pi/12)
+        A, B = 2 * SIN_PI_12 * math.cos(beta), 2 * COS_PI_12
+        alpha = math.atan2(B, A) - math.asin(1 / math.hypot(A, B))
+        # implicit derivative of the constraint with respect to beta
+        dalpha = (2 * SIN_PI_12 * math.sin(alpha) * math.sin(beta)
+                  / (A * math.cos(alpha) + B * math.sin(alpha)))
+        return math.hypot(dalpha, math.sin(alpha) * math.cos(alpha))
+    return g, (0.0, 2 * math.pi)
+
+
+def minimum_duration(spec, budget):
+    """tau_min = integral of g(beta) d(beta) / Omega0: with Omega_s = beta_dot g(beta)
+    capped at Omega0, no monotone schedule of the loop is faster."""
+    g, (lo, hi) = envelope_per_azimuth(spec)
+    value, _ = quad(g, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return value / budget.omega0
 
 
 class TestBesselJ1:
@@ -80,6 +158,56 @@ class TestObjective:
         assert math.isfinite(tau)
         traj = sample_trajectory(spec, default_schedule(spec, coeffs))
         assert geometric_phase(traj) == pytest.approx(spec.gamma_g, abs=1e-6)
+
+
+class TestObjectiveBitExact:
+    """The cached-basis objective returns the same float, bit for bit, as the
+    per-call reference, inf included."""
+
+    @pytest.mark.parametrize("gate", ["phase", "pi8", "hadamard"])
+    def test_random_in_box_vectors(self, gate):
+        spec = CATALOG[gate]
+        rng = np.random.default_rng(20261018)
+        X = rng.uniform(-0.2, 0.2, (200, 3))
+        got = [objective(x, spec, DEFAULT_BUDGET) for x in X]
+        want = [reference_objective(x, spec, DEFAULT_BUDGET) for x in X]
+        assert got == want
+        finite = sum(math.isfinite(v) for v in got)
+        assert 0 < finite < len(X)
+
+    def test_short_vectors_grids_and_box_edges(self):
+        cases = [((), 4001), ((0.05,), 1001), ((0.2, -0.03), 2001),
+                 ((0.21, 0.0, 0.0), 4001), ((0.0, 0.0, -0.2), 4001)]
+        for gate in ("pi8", "hadamard"):
+            for coeffs, n in cases:
+                got = objective(coeffs, CATALOG[gate], DEFAULT_BUDGET, grid_points=n)
+                want = reference_objective(coeffs, CATALOG[gate], DEFAULT_BUDGET, grid_points=n)
+                assert got == want
+
+
+class TestOptimizerAudit:
+    """Dropping the loop-phase check from the objective rejects nothing it
+    should, and no optimizer result beats the path-parameterisation bound."""
+
+    @pytest.mark.parametrize("gate,expected", [("pi8", 13.53), ("hadamard", 14.94),
+                                               ("phase", 16.35)])
+    def test_minimum_duration_reference_values(self, gate, expected):
+        assert minimum_duration(CATALOG[gate], DEFAULT_BUDGET) == pytest.approx(expected, abs=0.01)
+
+    @pytest.mark.parametrize("gate", ["phase", "pi8", "hadamard"])
+    @pytest.mark.parametrize("seed", [4, 11])
+    def test_history_keeps_phase_and_bound(self, gate, seed):
+        spec = CATALOG[gate]
+        problem = OptimizationProblem(spec, DEFAULT_BUDGET, grid_points=2001)
+        result = optimize(problem, seed=seed, n_starts=3, max_evals_per_start=60)
+        tau_min = minimum_duration(spec, DEFAULT_BUDGET)
+        finite = [(c, tau) for c, tau in result.history if math.isfinite(tau)]
+        assert len(finite) > 20
+        for coeffs, tau in finite:
+            traj = sample_trajectory(spec, default_schedule(spec, coeffs), 2001)
+            assert geometric_phase(traj) == pytest.approx(spec.gamma_g, abs=1e-6)
+            assert tau >= tau_min
+        assert tau_min <= result.tau <= result.baseline_tau
 
 
 class TestOptimize:

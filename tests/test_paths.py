@@ -9,8 +9,7 @@ from geogate.paths import (
     PathKind,
     PathSpec,
     ScheduleBase,
-    alpha_max,
-    alpha_of_beta,
+    _schedule_basis,
     beta_schedule,
     circle_constant,
     geometric_phase,
@@ -25,6 +24,16 @@ PHASE = PathSpec(math.pi / 4, 0.0, math.pi / 2, PathKind.POLE_START)
 HADAMARD = PathSpec(math.pi / 2, math.pi / 4, 0.0, PathKind.HADAMARD_START)
 HALF = BetaSchedule(ScheduleBase.HALF_TURN)
 FULL = BetaSchedule(ScheduleBase.FULL_TURN)
+
+
+def alpha_max(gamma_g):
+    """Largest polar angle of the pole-start circle: cos(alpha_m / 2) = 1 - gamma_g / pi."""
+    return 2.0 * math.acos(1.0 - gamma_g / math.pi)
+
+
+def pole_alpha(gamma_g, beta):
+    """Signed polar angle of the pole-start circle, tan(alpha/2) = C sin(beta - pi/2)."""
+    return 2.0 * np.arctan(circle_constant(gamma_g) * np.sin(beta - math.pi / 2))
 
 
 def great_circle_distance(traj):
@@ -75,35 +84,43 @@ class TestCircleConstant:
 
 
 class TestAlphaMax:
+    """The sampled pole-start loop peaks at alpha_max, reached at s = 1/2 (beta = pi)."""
+
     def test_endpoints(self):
-        assert alpha_max(0.0) == 0.0
-        assert alpha_max(math.pi) == pytest.approx(math.pi, rel=1e-14)
+        # the peak tends to 0 and to pi at the ends of the loop-phase range
+        for g, peak in ((1e-9, 0.0), (math.pi * (1 - 1e-9), math.pi)):
+            spec = PathSpec(g, 0.0, math.pi / 2, PathKind.POLE_START)
+            assert sample_trajectory(spec, HALF, 3).alpha[1] == pytest.approx(peak, abs=1e-4)
 
     def test_eighth_pi_against_numeric_inversion(self):
         root = brentq(lambda a: math.cos(a / 2) - 7 / 8, 0.0, math.pi, xtol=1e-14)
+        assert sample_trajectory(PI8, HALF, 3).alpha[1] == pytest.approx(root, abs=1e-12)
         assert alpha_max(math.pi / 8) == pytest.approx(root, abs=1e-12)
-        assert alpha_max(math.pi / 8) == pytest.approx(1.0107, abs=5e-5)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            alpha_max(3.5)
+        assert root == pytest.approx(1.0107, abs=5e-5)
 
 
 class TestAlphaOfBeta:
+    """Pole-start polar angles sampled by ``sample_trajectory``."""
+
     def test_starts_at_pole(self):
         for g in (0.3, math.pi / 8, math.pi / 4):
-            assert alpha_of_beta(g, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
+            spec = PathSpec(g, 0.0, math.pi / 2, PathKind.POLE_START)
+            assert sample_trajectory(spec, HALF, 101).alpha[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_reaches_alpha_max(self):
-        assert alpha_of_beta(math.pi / 8, math.pi) == pytest.approx(
+        assert sample_trajectory(PI8, HALF, 3).alpha[1] == pytest.approx(
             alpha_max(math.pi / 8), rel=1e-13)
 
     def test_closes_at_pole(self):
-        assert alpha_of_beta(math.pi / 4, 3 * math.pi / 2) == pytest.approx(0.0, abs=1e-12)
+        assert sample_trajectory(PHASE, HALF, 101).alpha[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_outside_window(self):
-        with pytest.raises(ValueError):
-            alpha_of_beta(math.pi / 8, 0.3)
+        # a1 = -0.2 pulls beta below pi/2 just after the start: the signed
+        # angle turns negative there and the sample folds to |alpha|
+        traj = sample_trajectory(PI8, BetaSchedule(ScheduleBase.HALF_TURN, (-0.2,)), 401)
+        signed = pole_alpha(math.pi / 8, traj.beta)
+        assert signed.min() < 0.0
+        assert np.allclose(traj.alpha, np.abs(signed), rtol=0, atol=1e-15)
 
 
 class TestHadamardAlpha:
@@ -142,32 +159,45 @@ class TestHadamardAlpha:
 class TestBetaSchedule:
     def test_endpoints_half_turn(self):
         sched = BetaSchedule(ScheduleBase.HALF_TURN, (0.1, -0.05, 0.2))
-        b0, _ = beta_schedule(0.0, sched)
-        b1, _ = beta_schedule(1.0, sched)
-        assert b0 == pytest.approx(math.pi / 2, abs=1e-12)
-        assert b1 == pytest.approx(3 * math.pi / 2, abs=1e-12)
+        s, b, _ = beta_schedule(sched, 101)
+        assert (s[0], s[-1]) == (0.0, 1.0)
+        assert b[0] == pytest.approx(math.pi / 2, abs=1e-12)
+        assert b[-1] == pytest.approx(3 * math.pi / 2, abs=1e-12)
 
     def test_endpoints_full_turn(self):
         sched = BetaSchedule(ScheduleBase.FULL_TURN, (0.2, 0.2, 0.2))
-        b0, _ = beta_schedule(0.0, sched)
-        b1, _ = beta_schedule(1.0, sched)
-        assert b0 == pytest.approx(0.0, abs=1e-12)
-        assert b1 == pytest.approx(2 * math.pi, abs=1e-12)
+        _, b, _ = beta_schedule(sched, 101)
+        assert b[0] == pytest.approx(0.0, abs=1e-12)
+        assert b[-1] == pytest.approx(2 * math.pi, abs=1e-12)
 
     def test_midpoint_derivative(self):
         # analytic differentiation of the base profile at s = 1/2
-        b, db = beta_schedule(0.5, HALF)
-        assert b == pytest.approx(math.pi, rel=1e-14)
-        assert db == pytest.approx(math.pi**2 / 2, rel=1e-14)
+        s, b, db = beta_schedule(HALF, 3)
+        assert s[1] == 0.5
+        assert b[1] == pytest.approx(math.pi, rel=1e-14)
+        assert db[1] == pytest.approx(math.pi**2 / 2, rel=1e-14)
 
     def test_derivative_against_finite_differences(self):
         sched = BetaSchedule(ScheduleBase.FULL_TURN, (0.08, -0.03, 0.05))
-        s = np.linspace(0.01, 0.99, 57)
-        _, db = beta_schedule(s, sched)
-        h = 1e-6
-        bp, _ = beta_schedule(s + h, sched)
-        bm, _ = beta_schedule(s - h, sched)
-        assert np.allclose(db, (bp - bm) / (2 * h), atol=1e-7)
+        s, b, db = beta_schedule(sched, 40001)
+        h = s[1] - s[0]
+        assert np.allclose(db[1:-1], (b[2:] - b[:-2]) / (2 * h), rtol=0, atol=1e-7)
+
+    def test_cached_basis_is_read_only(self):
+        for base in ScheduleBase:
+            s, b, db = beta_schedule(BetaSchedule(base), 11)
+            s_k, b_k, db_k, sin_k, cos_k = _schedule_basis(base, 11)
+            assert s is s_k and b is b_k and db is db_k
+            for array in (s, b, db, *sin_k, *cos_k):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+        traj = sample_trajectory(PI8, BetaSchedule(ScheduleBase.HALF_TURN, (0.01,)), 11)
+        with pytest.raises(ValueError):
+            traj.s[0] = 1.0
+
+    def test_too_few_points(self):
+        with pytest.raises(ValueError):
+            beta_schedule(HALF, 1)
 
     def test_too_many_coeffs(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,16 @@ from geogate.pulses import (
 TWO_PI = 2 * math.pi
 
 
+def alpha_max(gamma_g):
+    """Largest polar angle of the pole-start circle: cos(alpha_m / 2) = 1 - gamma_g / pi."""
+    return 2.0 * math.acos(1.0 - gamma_g / math.pi)
+
+
+def half_turn_beta(s):
+    """Uncorrected half-turn azimuth pi/2 + pi sin^2(pi s / 2)."""
+    return math.pi / 2 + math.pi * math.sin(math.pi * s / 2) ** 2
+
+
 def gate_distance(u, v):
     """Frobenius distance minimized over a global phase."""
     phase = np.angle(np.trace(np.asarray(v).conj().T @ np.asarray(u)))
@@ -60,7 +70,6 @@ class TestDetuning:
     def test_midpoint_value_composed_from_parts(self):
         # at s = 1/2 the half-turn derivative is pi^2/2 and alpha = alpha_max;
         # cross-check the sampled derivative against finite differences
-        from geogate.paths import alpha_max, beta_schedule
         pulse = synthesize(CATALOG["pi8"], grid_points=4001)
         traj = sample_trajectory(CATALOG["pi8"], default_schedule(CATALOG["pi8"]), 4001)
         tau = pulse.tau
@@ -71,9 +80,7 @@ class TestDetuning:
                                             rel=1e-15, abs=1e-15)
 
         h = 1e-6
-        bp, _ = beta_schedule(0.5 + h, traj.schedule)
-        bm, _ = beta_schedule(0.5 - h, traj.schedule)
-        fd = (bp - bm) / (2 * h)
+        fd = (half_turn_beta(0.5 + h) - half_turn_beta(0.5 - h)) / (2 * h)
         assert -(fd / tau) * math.sin(traj.alpha[mid]) ** 2 == pytest.approx(
             pulse.delta[mid], rel=1e-8)
 
@@ -98,7 +105,6 @@ class TestRabiEnvelope:
         assert env[-1] == pytest.approx(0.0, abs=1e-9)
 
     def test_pi8_midpoint(self):
-        from geogate.paths import alpha_max
         tau = 19.66
         traj = sample_trajectory(CATALOG["pi8"], default_schedule(CATALOG["pi8"]), 4001)
         env, zeta = rabi_envelope(traj, tau)
