@@ -40,7 +40,6 @@ from .dynamics import (
     TransmonParams,
     TwoQubitDrive,
     build_two_qubit_drive,
-    effective_two_qubit_hamiltonian,
     eta_waveform,
     evolve_lindblad,
     evolve_schrodinger,

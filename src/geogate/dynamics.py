@@ -8,7 +8,8 @@ Four models share one fixed-step RK4 core (see "Integrator" below):
   modulation on the second qubit, on the six levels |k_a k_b> with
   k_a + k_b <= 2,
 * the effective two-level reduction of the coupled pair in the
-  {|11>, |02>} subspace.
+  {|11>, |02>} subspace, which is the qubit model driven by the subspace
+  pulse: g', Delta' and varphi take the places of Omega, Delta and phi.
 
 Open-system evolution follows
 
@@ -61,7 +62,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import write_csv
 from .optimize import invert_bessel_j1
 from .paths import PathTrajectory
 from .pulses import DrivePulse
@@ -105,9 +105,9 @@ def _warn_if_out_of_range(fractions):
 
 @dataclass(frozen=True)
 class TransmonParams:
-    """Single transmon: anharmonicity; coupled pair: g, detuning, both anharmonicities."""
+    """Coupled transmon pair: exchange coupling g, qubit detuning Delta and
+    both anharmonicities, rad/ns."""
 
-    anharmonicity: float = 0.0
     g: float = 0.0
     Delta: float = 0.0
     anh_a: float = 0.0
@@ -183,20 +183,26 @@ def three_level_hamiltonian(pulse: DrivePulse, anharmonicity: float,
 
 @dataclass(frozen=True)
 class TwoQubitDrive:
-    """Flux-modulation waveform for the coupled-transmon control-phase gate.
+    """Flux modulation realizing a subspace pulse for the control-phase gate.
 
-    The modulation frequency satisfies nu = Delta_prime + anh_b + Delta at
-    every sample by construction.
+    ``pulse`` is the geometric pulse of the {|11>, |02>} subspace: its
+    ``omega``, ``delta`` and ``phase`` are g', Delta' and varphi.  ``eta``
+    is the modulation amplitude on ``pulse.t``.  The modulation frequency
+    nu = Delta' + anh_b + Delta is matched at every instant by
+    ``two_qubit_full_hamiltonian``.
     """
 
-    tau: float
-    t: np.ndarray
+    pulse: DrivePulse
     eta: np.ndarray
-    varphi: np.ndarray
-    g_prime: np.ndarray
-    Delta_prime: np.ndarray
-    nu: np.ndarray
     gamma_g_prime: float
+
+    @property
+    def tau(self) -> float:
+        return self.pulse.tau
+
+    @property
+    def g_prime(self) -> np.ndarray:
+        return self.pulse.omega
 
 
 def eta_waveform(g_prime, g: float):
@@ -208,10 +214,7 @@ def eta_waveform(g_prime, g: float):
 def build_two_qubit_drive(params: TransmonParams, pulse: DrivePulse,
                           gamma_g_prime: float) -> TwoQubitDrive:
     """Map a synthesized subspace pulse onto the physical flux modulation."""
-    eta = eta_waveform(pulse.omega, params.g)
-    nu = pulse.delta + params.anh_b + params.Delta
-    return TwoQubitDrive(tau=pulse.tau, t=pulse.t, eta=eta, varphi=pulse.phase,
-                         g_prime=pulse.omega, Delta_prime=pulse.delta, nu=nu,
+    return TwoQubitDrive(pulse=pulse, eta=eta_waveform(pulse.omega, params.g),
                          gamma_g_prime=gamma_g_prime)
 
 
@@ -223,15 +226,17 @@ def _cumulative_trapezoid(y, x):
 
 
 def subspace_frame_phase(drive: TwoQubitDrive, ts) -> np.ndarray:
-    """Integral of Delta_prime accumulated on the supplied grid."""
-    dpr = np.interp(ts, drive.t, drive.Delta_prime)
-    return _cumulative_trapezoid(dpr, ts)
+    """Integral of Delta' accumulated on the supplied grid."""
+    return _cumulative_trapezoid(np.interp(ts, drive.pulse.t, drive.pulse.delta), ts)
 
 
-def subspace_frame_unitary(drive: TwoQubitDrive, ts) -> np.ndarray:
+def subspace_frame_unitary(drive: TwoQubitDrive) -> np.ndarray:
     """Diagonal frame change aligning the interaction picture with the
-    effective-model frame in which the control phase is defined."""
-    S = subspace_frame_phase(drive, ts)[-1]
+    effective-model frame in which the control phase is defined.
+
+    The frame phase is the integral of Delta' over the pulse's own grid.
+    """
+    S = subspace_frame_phase(drive, drive.pulse.t)[-1]
     U = np.eye(len(LEVELS), dtype=complex)
     U[IDX_11, IDX_11] = np.exp(-1j * S / 2)
     U[IDX_02, IDX_02] = np.exp(+1j * S / 2)
@@ -255,8 +260,8 @@ def two_qubit_full_hamiltonian(params: TransmonParams, drive: TwoQubitDrive):
     """
     def sample(ts):
         ts = np.asarray(ts, dtype=float)
-        eta = np.interp(ts, drive.t, drive.eta)
-        phi = np.interp(ts, drive.t, drive.varphi)
+        eta = np.interp(ts, drive.pulse.t, drive.eta)
+        phi = np.interp(ts, drive.pulse.t, drive.pulse.phase)
         S = subspace_frame_phase(drive, ts)
         theta = S + (params.anh_b + params.Delta) * ts + phi
         mod = np.exp(-1j * eta * np.sin(theta))
@@ -270,24 +275,6 @@ def two_qubit_full_hamiltonian(params: TransmonParams, drive: TwoQubitDrive):
         H[..., IDX_02, IDX_11] = np.conj(c2)
         H[..., IDX_20, IDX_11] = c3
         H[..., IDX_11, IDX_20] = np.conj(c3)
-        return H
-
-    return sample
-
-
-def effective_two_qubit_hamiltonian(drive: TwoQubitDrive):
-    """Two-level reduction in {|11>, |02>}: detuning Delta_prime, coupling g_prime."""
-    def sample(ts):
-        ts = np.asarray(ts, dtype=float)
-        dpr = np.interp(ts, drive.t, drive.Delta_prime)
-        gp = np.interp(ts, drive.t, drive.g_prime)
-        phi = np.interp(ts, drive.t, drive.varphi)
-        off = 0.5 * gp * np.exp(-1j * phi)
-        H = np.zeros(ts.shape + (2, 2), dtype=complex)
-        H[..., 0, 0] = -dpr / 2
-        H[..., 1, 1] = dpr / 2
-        H[..., 0, 1] = off
-        H[..., 1, 0] = np.conj(off)
         return H
 
     return sample
@@ -508,11 +495,3 @@ def parallel_transport_check(traj: PathTrajectory, pulse: DrivePulse,
     overlap = np.abs(np.einsum("ni,ni->n", psi0.conj(), res.states[-1]))
     return float(np.abs(expval).max()), float(np.abs(1.0 - overlap).max())
 
-
-def trace_to_csv(path, times, populations, fidelity=None):
-    headers = ["t_ns"] + [f"pop_{i}" for i in range(populations.shape[1])]
-    cols = [times] + [populations[:, i] for i in range(populations.shape[1])]
-    if fidelity is not None:
-        headers.append("fidelity")
-        cols.append(fidelity)
-    write_csv(path, headers, cols)

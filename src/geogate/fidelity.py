@@ -35,19 +35,16 @@ from .dynamics import (
     COMPUTATIONAL_IDX,
     LEVELS,
     _drive_hamiltonian,
-    _half_step_grid,
     _warn_if_out_of_range,
     DecoherenceRates,
     ErrorFractions,
     TransmonParams,
     TwoQubitDrive,
-    effective_two_qubit_hamiltonian,
     evolve_lindblad,
     evolve_schrodinger,
     qubit_collapse,
     subspace_frame_unitary,
     three_level_hamiltonian,
-    trace_to_csv,
     two_level_hamiltonian,
     two_qubit_collapse,
     two_qubit_full_hamiltonian,
@@ -157,9 +154,8 @@ def average_gate_fidelity_2q(params: TransmonParams, drive: TwoQubitDrive,
     target = target_unitary_2q(drive.gamma_g_prime)
 
     if model == "effective":
-        sampler = effective_two_qubit_hamiltonian(drive)
-        psi = evolve_schrodinger(sampler, np.array([1.0, 0.0], dtype=complex),
-                                 (0.0, drive.tau), dt).final
+        psi = evolve_schrodinger(two_level_hamiltonian(drive.pulse),
+                                 np.array([1.0, 0.0], dtype=complex), (0.0, drive.tau), dt).final
         idx = tuple(range(4))
         V = np.diag([1.0, 1.0, 1.0, psi[0]])
         evolved = V @ _channel_basis(idx, 4) @ V.conj().T
@@ -168,8 +164,7 @@ def average_gate_fidelity_2q(params: TransmonParams, drive: TwoQubitDrive,
     sampler = two_qubit_full_hamiltonian(params, drive)
     evolved = evolve_lindblad(sampler, _channel_basis(COMPUTATIONAL_IDX, len(LEVELS)),
                               two_qubit_collapse(rates), (0.0, drive.tau), dt).final
-    ts, _, _ = _half_step_grid((0.0, drive.tau), dt)
-    U = subspace_frame_unitary(drive, ts)
+    U = subspace_frame_unitary(drive)
     evolved = U.conj().T @ evolved @ U
     return float(_average_fidelity(evolved, target, COMPUTATIONAL_IDX))
 
@@ -210,11 +205,6 @@ def dynamical_comparator(spec, budget: AmplitudeBudget = DEFAULT_BUDGET,
     return pulse, ideal
 
 
-def _coeff_key(gate_name: str) -> str:
-    key = gate_name.lower().replace("-", "_")
-    return {"pi_over_8": "pi8", "t": "pi8", "h": "hadamard"}.get(key, key)
-
-
 def gate_variants(gate_name: str, budget: AmplitudeBudget = DEFAULT_BUDGET,
                   include=("geometric", "geometric_po", "dynamical"),
                   comparator_style: str = "canonical"):
@@ -225,7 +215,7 @@ def gate_variants(gate_name: str, budget: AmplitudeBudget = DEFAULT_BUDGET,
     if "geometric" in include:
         out["geometric"] = (synthesize(spec, budget=budget), target)
     if "geometric_po" in include:
-        coeffs = OPTIMIZED_COEFFS.get(_coeff_key(gate_name))
+        coeffs = next((c for name, c in OPTIMIZED_COEFFS.items() if CATALOG[name] is spec), None)
         if coeffs is None:
             raise KeyError(f"no reference optimized coefficients for gate {gate_name!r}")
         out["geometric_po"] = (synthesize(spec, default_schedule(spec, coeffs), budget=budget), target)
@@ -297,7 +287,9 @@ class FidelityTrace:
     populations: np.ndarray
 
     def to_csv(self, path):
-        trace_to_csv(path, self.times, self.populations, self.fidelity)
+        pops = list(self.populations.T)
+        write_csv(path, ["t_ns"] + [f"pop_{i}" for i in range(len(pops))] + ["fidelity"],
+                  [self.times] + pops + [self.fidelity])
 
 
 def fidelity_dynamics(pulse: DrivePulse, ket0, model: str = "three_level",

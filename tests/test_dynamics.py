@@ -12,8 +12,9 @@ from geogate.dynamics import (
     TransmonParams,
     _drive_hamiltonian,
     aux_states,
+    TwoQubitDrive,
+    _half_step_grid,
     build_two_qubit_drive,
-    effective_two_qubit_hamiltonian,
     eta_waveform,
     evolve_lindblad,
     evolve_schrodinger,
@@ -21,6 +22,7 @@ from geogate.dynamics import (
     propagator,
     qubit_collapse,
     subspace_frame_phase,
+    subspace_frame_unitary,
     three_level_hamiltonian,
     two_level_hamiltonian,
     two_qubit_collapse,
@@ -32,6 +34,7 @@ from geogate.pulses import (
     CATALOG,
     DEFAULT_BUDGET,
     AmplitudeBudget,
+    DrivePulse,
     TWO_QUBIT_COEFFS,
     default_schedule,
     drag_correct,
@@ -408,6 +411,15 @@ def two_qubit_drive(coeffs=TWO_QUBIT_COEFFS, grid_points=2001):
     return params, build_two_qubit_drive(params, pulse, math.pi / 4)
 
 
+def constant_subspace_drive(tau, n, g_prime=0.0):
+    """A resonant subspace pulse of constant coupling g_prime, unmodulated."""
+    t = np.linspace(0, tau, n)
+    zeros = np.zeros(n)
+    pulse = DrivePulse(tau=tau, t=t, delta=zeros, omega=np.full(n, g_prime), phase=zeros,
+                       beta_dot=zeros, zeta=zeros, omega0=g_prime)
+    return TwoQubitDrive(pulse=pulse, eta=zeros, gamma_g_prime=0.0)
+
+
 class TestEtaWaveform:
     def test_zero_maps_to_zero(self):
         assert eta_waveform(0.0, TWO_PI * 0.010) == pytest.approx(0.0, abs=1e-12)
@@ -430,18 +442,30 @@ class TestEtaWaveform:
 
 
 class TestTwoQubitHamiltonians:
-    def test_frequency_matching_exact(self):
+    def test_drive_record_is_the_subspace_pulse(self):
         params, drive = two_qubit_drive()
-        assert np.array_equal(drive.nu, drive.Delta_prime + params.anh_b + params.Delta)
+        assert drive.tau == drive.pulse.tau
+        assert drive.g_prime is drive.pulse.omega
+        assert np.array_equal(drive.eta, eta_waveform(drive.pulse.omega, params.g))
+
+    def test_frequency_matching_exact(self):
+        # dividing the bare exchange rotation out of |11><02| leaves
+        # exp(-i eta sin theta), theta the integral of the modulation
+        # frequency nu = Delta' + anh_b + Delta plus the phase varphi
+        from scipy.integrate import cumulative_trapezoid
+        params, drive = two_qubit_drive()
+        pulse = drive.pulse
+        H = two_qubit_full_hamiltonian(params, drive)(pulse.t)
+        bare = math.sqrt(2) * params.g * np.exp(1j * (params.Delta + params.anh_b) * pulse.t)
+        nu = pulse.delta + params.anh_b + params.Delta
+        theta = cumulative_trapezoid(nu, pulse.t, initial=0.0) + pulse.phase
+        mod = np.exp(-1j * drive.eta * np.sin(theta))
+        assert np.abs(H[:, IDX_11, IDX_02] / bare - mod).max() < 1e-6
+        assert np.abs(drive.eta).max() > 1.0
 
     def test_zero_modulation_leaves_bare_coupling(self):
         params = paper_params()
-        from geogate.dynamics import TwoQubitDrive
-        t = np.linspace(0, 10, 101)
-        drive = TwoQubitDrive(tau=10.0, t=t, eta=np.zeros(101), varphi=np.zeros(101),
-                              g_prime=np.zeros(101), Delta_prime=np.zeros(101),
-                              nu=np.full(101, params.anh_b + params.Delta),
-                              gamma_g_prime=0.0)
+        drive = constant_subspace_drive(10.0, 101)
         H = two_qubit_full_hamiltonian(params, drive)(np.array([0.0, 1.0]))
         assert abs(H[0, IDX_10, IDX_01] - params.g) < 1e-12
         assert abs(H[1, IDX_10, IDX_01] - params.g * np.exp(1j * params.Delta)) < 1e-12
@@ -458,13 +482,9 @@ class TestTwoQubitHamiltonians:
     def test_effective_rabi_oscillation(self):
         # constant coupling, zero detuning: full population transfer at
         # half the Rabi period
-        from geogate.dynamics import TwoQubitDrive
         gp = 0.05
-        t = np.linspace(0, 200, 41)
-        drive = TwoQubitDrive(tau=200.0, t=t, eta=np.zeros(41), varphi=np.zeros(41),
-                              g_prime=np.full(41, gp), Delta_prime=np.zeros(41),
-                              nu=np.zeros(41), gamma_g_prime=0.0)
-        sampler = effective_two_qubit_hamiltonian(drive)
+        drive = constant_subspace_drive(200.0, 41, gp)
+        sampler = two_level_hamiltonian(drive.pulse)
         psi = evolve_schrodinger(sampler, np.array([1.0, 0.0], dtype=complex),
                                  (0.0, math.pi / gp), dt=0.01).final
         assert abs(psi[1]) == pytest.approx(1.0, abs=1e-9)
@@ -472,7 +492,7 @@ class TestTwoQubitHamiltonians:
     def test_effective_control_phase(self):
         # the subspace pulse returns |11> with exactly the target phase
         _, drive = two_qubit_drive(grid_points=4001)
-        sampler = effective_two_qubit_hamiltonian(drive)
+        sampler = two_level_hamiltonian(drive.pulse)
         psi = evolve_schrodinger(sampler, np.array([1.0, 0.0], dtype=complex),
                                  (0.0, drive.tau), dt=0.002).final
         assert abs(psi[0]) == pytest.approx(1.0, abs=1e-6)
@@ -493,7 +513,7 @@ class TestTwoQubitHamiltonians:
         # would decohere the transfer entirely (see control below)
         params, drive = two_qubit_drive(grid_points=4001)
         full = two_qubit_full_hamiltonian(params, drive)
-        eff = effective_two_qubit_hamiltonian(drive)
+        eff = two_level_hamiltonian(drive.pulse)
         psi6 = np.zeros(6, dtype=complex)
         psi6[IDX_11] = 1.0
         res_full = evolve_schrodinger(full, psi6, (0.0, drive.tau), dt=0.001,
@@ -513,13 +533,13 @@ class TestTwoQubitHamiltonians:
         params, drive = two_qubit_drive(grid_points=4001)
         # drop the time-dependent part of the matching condition
         broken = dataclasses.replace(
-            drive, Delta_prime=np.zeros_like(drive.Delta_prime))
+            drive, pulse=dataclasses.replace(drive.pulse, delta=np.zeros_like(drive.pulse.delta)))
         full = two_qubit_full_hamiltonian(params, broken)
         psi6 = np.zeros(6, dtype=complex)
         psi6[IDX_11] = 1.0
         res_full = evolve_schrodinger(full, psi6, (0.0, drive.tau), dt=0.001,
                                       record_stride=2000)
-        eff = effective_two_qubit_hamiltonian(drive)
+        eff = two_level_hamiltonian(drive.pulse)
         res_eff = evolve_schrodinger(eff, np.array([1.0, 0.0], dtype=complex),
                                      (0.0, drive.tau), dt=0.001, record_stride=2000)
         p11_full = np.abs(res_full.states[:, IDX_11]) ** 2
@@ -533,8 +553,20 @@ class TestTwoQubitHamiltonians:
         assert S[0] == 0.0
         # independent quadrature of the sampled detuning
         from scipy.integrate import simpson
-        expected = simpson(np.interp(ts, drive.t, drive.Delta_prime), x=ts)
+        expected = simpson(np.interp(ts, drive.pulse.t, drive.pulse.delta), x=ts)
         assert S[-1] == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("dt", [0.001, 0.02, 0.05])
+    def test_frame_unitary_phase_matches_integrator_grid(self, dt):
+        # the frame change integrates Delta' on the pulse grid, the full
+        # sampler on the integrator's half-step grid; the two agree
+        _, drive = two_qubit_drive(grid_points=4001)
+        S = subspace_frame_phase(drive, drive.pulse.t)[-1]
+        S_grid = subspace_frame_phase(drive, _half_step_grid((0.0, drive.tau), dt)[0])[-1]
+        assert abs(S - S_grid) <= 1e-11
+        U = subspace_frame_unitary(drive)
+        assert U[IDX_11, IDX_11] == np.exp(-1j * S / 2)
+        assert U[IDX_02, IDX_02] == np.exp(1j * S / 2)
 
     def test_six_levels_are_the_exact_block_of_nine(self):
         # the coupled pair on all nine product levels |k_a k_b> (index

@@ -9,9 +9,8 @@ from geogate.dynamics import (
     DecoherenceRates,
     ErrorFractions,
     TransmonParams,
-    _half_step_grid,
+    TwoQubitDrive,
     build_two_qubit_drive,
-    effective_two_qubit_hamiltonian,
     evolve_lindblad,
     evolve_schrodinger,
     qubit_collapse,
@@ -36,6 +35,7 @@ from geogate.pulses import (
     CATALOG,
     DEFAULT_BUDGET,
     AmplitudeBudget,
+    DrivePulse,
     TWO_QUBIT_COEFFS,
     default_schedule,
     drag_correct,
@@ -182,6 +182,21 @@ class TestComparators:
         assert f >= 0.99999
 
 
+class TestGateVariants:
+    @pytest.mark.parametrize("alias, name", [("t", "pi8"), ("pi_over_8", "pi8"),
+                                             ("pi-over-8", "pi8"), ("H", "hadamard")])
+    def test_aliases_give_the_canonical_optimized_pulse(self, alias, name):
+        got, target = gate_variants(alias, include=("geometric_po",))["geometric_po"]
+        want, want_target = gate_variants(name, include=("geometric_po",))["geometric_po"]
+        assert got.tau == want.tau
+        assert np.array_equal(got.omega, want.omega) and np.array_equal(got.phase, want.phase)
+        assert np.array_equal(target, want_target)
+
+    def test_gate_without_reference_coefficients(self):
+        with pytest.raises(KeyError):
+            gate_variants("phase", include=("geometric_po",))
+
+
 class TestRobustnessScan:
     def test_zero_point_matches_direct_evaluation(self):
         variants = gate_variants("pi8", include=("geometric",))
@@ -277,13 +292,11 @@ class TestAverageGateFidelity2q:
 
     def test_identity_drive_perfect(self):
         params = paper_params()
-        from geogate.dynamics import TwoQubitDrive
         t = np.linspace(0, 5.0, 51)
         zeros = np.zeros(51)
-        drive = TwoQubitDrive(tau=5.0, t=t, eta=zeros, varphi=zeros,
-                              g_prime=zeros, Delta_prime=zeros,
-                              nu=np.full(51, params.anh_b + params.Delta),
-                              gamma_g_prime=0.0)
+        pulse = DrivePulse(tau=5.0, t=t, delta=zeros, omega=zeros, phase=zeros,
+                           beta_dot=zeros, zeta=zeros, omega0=0.0)
+        drive = TwoQubitDrive(pulse=pulse, eta=zeros, gamma_g_prime=0.0)
         f = average_gate_fidelity_2q(params, drive, model="effective", dt=0.005)
         assert f == pytest.approx(1.0, abs=1e-8)
 
@@ -312,7 +325,7 @@ class TestAverageGateFidelity2q:
         rho = evolve_lindblad(two_qubit_full_hamiltonian(params, drive),
                               np.einsum("ni,nj->nij", kets6, kets6.conj()),
                               two_qubit_collapse(rates), (0.0, drive.tau), dt).final
-        U = subspace_frame_unitary(drive, _half_step_grid((0.0, drive.tau), dt)[0])
+        U = subspace_frame_unitary(drive)
         rho = U.conj().T @ rho @ U
         finals = np.zeros_like(kets6)
         finals[:, list(COMPUTATIONAL_IDX)] = kets @ target_unitary_2q(drive.gamma_g_prime).T
@@ -329,7 +342,7 @@ class TestAverageGateFidelity2q:
         # a phase away from the loop's own makes the average nontrivial
         drive = replace(build_two_qubit_drive(params, pulse, math.pi / 4), gamma_g_prime=1.0)
         dt = 0.02
-        psi = evolve_schrodinger(effective_two_qubit_hamiltonian(drive),
+        psi = evolve_schrodinger(two_level_hamiltonian(drive.pulse),
                                  np.array([1.0, 0.0], dtype=complex), (0.0, drive.tau), dt).final
         kets, w = product_theta_kets(7)
         out = kets.astype(complex)
@@ -339,3 +352,16 @@ class TestAverageGateFidelity2q:
         exact = average_gate_fidelity_2q(params, drive, model="effective", dt=dt)
         assert exact == pytest.approx(float(f @ w), abs=1e-12)
         assert exact < 0.999
+
+    def test_reference_drive_values(self):
+        # the criterion-7 drive: full model at a coarse step, effective model
+        # at the step its control-phase test uses
+        params = paper_params()
+        spec = CATALOG["phase"]
+        pulse = synthesize(spec, default_schedule(spec, TWO_QUBIT_COEFFS),
+                           AmplitudeBudget(TWO_PI * 0.015))
+        drive = build_two_qubit_drive(params, pulse, math.pi / 4)
+        full = average_gate_fidelity_2q(params, drive, rates=RATES, model="full", dt=0.02)
+        assert full == pytest.approx(0.9972166072253797, abs=1e-13)
+        eff = average_gate_fidelity_2q(params, drive, model="effective", dt=0.002)
+        assert eff == pytest.approx(0.9999999999999865, abs=1e-15)
