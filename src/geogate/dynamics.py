@@ -22,7 +22,11 @@ Six levels of the coupled pair are exact, not a truncation.  Every
 exchange term of its Hamiltonian (|10><01|, |11><02|, |20><11|) conserves
 the excitation number N = k_a + k_b, decay lowers N and dephasing is
 diagonal, so no input with N <= 2 (the computational states among them)
-ever reaches |12>, |21> or |22>.
+ever reaches |12>, |21> or |22>.  The same terms conserve
+K = N(i) - N(j) on |i><j| (a weak symmetry of the Liouvillian), so the
+36-dimensional Liouville space splits exactly into closed sectors of
+3, 8, 14, 8 and 3 vec indices for K = -2 ... 2; ``two_qubit_channel``
+evolves the computational inputs sector by sector.
 
 Drive convention and error model (one source: ``_drive_hamiltonian``).  In
 the frame rotating at the drive frequency a ``DrivePulse`` with detuning
@@ -423,11 +427,13 @@ def _evolve(hamiltonian, y0, t_span, dt, record_stride, generator):
     return EvolutionResult(np.array([ts[-1]]), Ys[0], recorded=False)
 
 
-def _liouvillian(collapse, d):
+def _liouvillian(collapse, d, keep=None):
     """Generator builder of the master equation in row-major vec form.
 
     H[x, y] enters H kron I at ((x, k), (y, k)) and I kron H^T at
     ((k, y), (k, x)); each generator is the dissipator plus these entries.
+    ``keep`` (sorted vec indices, all by default) restricts the generator
+    to a set that it maps into itself, such as a K sector.
     """
     eye = np.eye(d)
     D = np.zeros((d * d, d * d), dtype=complex)
@@ -435,17 +441,28 @@ def _liouvillian(collapse, d):
         L = np.asarray(L, dtype=complex)
         K = L.conj().T @ L
         D += r * (np.kron(L, L.conj()) - 0.5 * (np.kron(K, eye) + np.kron(eye, K.T)))
+    keep = np.arange(d * d) if keep is None else np.asarray(keep)
+    n = len(keep)
+    D = D[np.ix_(keep, keep)]
+    pos = np.full(d * d, -1)
+    pos[keep] = np.arange(n)
     x, y, k = np.indices((d, d, d)).reshape(3, -1)
-    source = x * d + y
-    left, right = (x * d + k) * d * d + y * d + k, (k * d + y) * d * d + k * d + x
+    scatters = []
+    for row, col in ((pos[x * d + k], pos[y * d + k]), (pos[k * d + y], pos[k * d + x])):
+        inside = (row >= 0) & (col >= 0)
+        scatters.append((row[inside] * n + col[inside], (x * d + y)[inside]))
+    (left, left_source), (right, right_source) = scatters
+    # with all indices, or a K = 0 sector, both scatters read the same samples
+    shared = np.array_equal(left_source, right_source)
 
     def generator(H):
-        A = np.empty(H.shape[:-2] + (d ** 4,), dtype=complex)
+        A = np.empty(H.shape[:-2] + (n * n,), dtype=complex)
         A[...] = D.ravel()
-        mH = -1j * H.reshape(H.shape[:-2] + (d * d,))[..., source]
+        H = H.reshape(H.shape[:-2] + (d * d,))
+        mH = -1j * H[..., left_source]
         A[..., left] += mH
-        A[..., right] -= mH
-        return A.reshape(H.shape[:-2] + (d * d, d * d))
+        A[..., right] -= mH if shared else -1j * H[..., right_source]
+        return A.reshape(H.shape[:-1] + (n, n))
 
     return generator
 
@@ -464,6 +481,34 @@ def evolve_lindblad(hamiltonian, rho0, collapse=(), t_span=None, dt=DEFAULT_DT,
     result = _evolve(hamiltonian, vec0, t_span, dt, record_stride, _liouvillian(collapse, d))
     result.states = result.states.reshape(result.states.shape[:-1] + (d, d))
     return result
+
+
+def two_qubit_channel(params: TransmonParams, drive: TwoQubitDrive,
+                      rates: DecoherenceRates, dt: float = DEFAULT_DT) -> np.ndarray:
+    """E(|a><b|) of the coupled pair for a, b in ``COMPUTATIONAL_IDX``, index 4 a + b.
+
+    Each K sector of the vec space is closed (module docstring).  The K >= 0
+    sectors evolve one at a time, all on one Hamiltonian grid sampled here,
+    and the channel keeps Hermiticity, so E(|b><a|) = E(|a><b|)^+ fills the
+    K < 0 inputs.
+    """
+    d = len(LEVELS)
+    t_span = (0.0, drive.tau)
+    H = two_qubit_full_hamiltonian(params, drive)(_half_step_grid(t_span, dt)[0])
+    N = np.sum(LEVELS, axis=1)
+    K = np.subtract.outer(N, N).ravel()  # of the vec index d i + j of |i><j|
+    comp = np.array(COMPUTATIONAL_IDX)
+    inputs = np.add.outer(d * comp, comp).ravel()
+    out = np.zeros((len(inputs), d * d), dtype=complex)
+    collapse = two_qubit_collapse(rates)
+    for k in range(K.max() + 1):
+        keep, mine = np.flatnonzero(K == k), np.flatnonzero(K[inputs] == k)
+        out[mine[:, None], keep] = _evolve(lambda ts: H, inputs[mine, None] == keep, t_span, dt,
+                                           None, _liouvillian(collapse, d, keep)).final
+    out = out.reshape(len(comp), len(comp), d, d)
+    lower = K[inputs].reshape(len(comp), len(comp)) < 0
+    out[lower] = out.swapaxes(0, 1)[lower].swapaxes(-1, -2).conj()
+    return out.reshape(-1, d, d)
 
 
 def evolve_schrodinger(hamiltonian, psi0, t_span, dt=DEFAULT_DT,

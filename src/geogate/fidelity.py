@@ -6,10 +6,12 @@ over initial states cos(theta)|0> + sin(theta)|1> with theta uniform on
 states.
 
 One reduction serves every fidelity.  The computational-basis matrices
-|a><b| evolve once; by linearity the fidelity of every input is a
-degree-4 polynomial in k = (cos theta, sin theta), so its average is an
-exact contraction with the equatorial moments E[c^4] = E[s^4] = 3/8,
-E[c^2 s^2] = 1/8 (qubit-wise for product states).  No theta is sampled.
+|a><b| evolve once (for the coupled pair, the K >= 0 sectors evolve and
+the K < 0 inputs are filled by conjugate transpose); by linearity the
+fidelity of every input is a degree-4 polynomial in
+k = (cos theta, sin theta), so its average is an exact contraction with
+the equatorial moments E[c^4] = E[s^4] = 3/8, E[c^2 s^2] = 1/8
+(qubit-wise for product states).  No theta is sampled.
 Robustness scans evolve all error points of a variant as one batch and
 reduce them the same way.
 
@@ -33,7 +35,6 @@ from ._csv import write_csv
 from .dynamics import (
     DEFAULT_DT,
     COMPUTATIONAL_IDX,
-    LEVELS,
     _drive_hamiltonian,
     _warn_if_out_of_range,
     DecoherenceRates,
@@ -46,8 +47,7 @@ from .dynamics import (
     subspace_frame_unitary,
     three_level_hamiltonian,
     two_level_hamiltonian,
-    two_qubit_collapse,
-    two_qubit_full_hamiltonian,
+    two_qubit_channel,
 )
 from .pulses import (
     CATALOG,
@@ -143,12 +143,8 @@ def check_two_qubit_model(model: str, rates: DecoherenceRates):
 
 def average_gate_fidelity_2q(params: TransmonParams, drive: TwoQubitDrive,
                              rates: DecoherenceRates | None = None,
-                             model: str = "full", n_theta: int | None = None,
-                             dt: float = DEFAULT_DT) -> float:
-    """Product-state average fidelity of the control-phase gate.
-
-    ``n_theta`` is accepted and has no effect: the average is exact.
-    """
+                             model: str = "full", dt: float = DEFAULT_DT) -> float:
+    """Product-state average fidelity of the control-phase gate."""
     rates = rates or DecoherenceRates()
     check_two_qubit_model(model, rates)
     target = target_unitary_2q(drive.gamma_g_prime)
@@ -161,11 +157,8 @@ def average_gate_fidelity_2q(params: TransmonParams, drive: TwoQubitDrive,
         evolved = V @ _channel_basis(idx, 4) @ V.conj().T
         return float(_average_fidelity(evolved, target, idx))
 
-    sampler = two_qubit_full_hamiltonian(params, drive)
-    evolved = evolve_lindblad(sampler, _channel_basis(COMPUTATIONAL_IDX, len(LEVELS)),
-                              two_qubit_collapse(rates), (0.0, drive.tau), dt).final
     U = subspace_frame_unitary(drive)
-    evolved = U.conj().T @ evolved @ U
+    evolved = U.conj().T @ two_qubit_channel(params, drive, rates, dt) @ U
     return float(_average_fidelity(evolved, target, COMPUTATIONAL_IDX))
 
 

@@ -628,3 +628,49 @@ class TestTwoQubitHamiltonians:
         ops1 = qubit_collapse(RATES, 3)
         assert ops1[0][1][0, 1] == 1.0
         assert ops1[1][1][2, 2] == 0.0
+
+
+def excitation_difference():
+    """K = N(i) - N(j) of the vec index 6 i + j of |i><j|."""
+    N = np.sum(LEVELS, axis=1)
+    return np.subtract.outer(N, N).ravel()
+
+
+class TestExcitationSectors:
+    """The coupled pair's Liouvillian splits exactly by K = N(ket) - N(bra)."""
+
+    def criterion_7_generator(self):
+        params, drive = two_qubit_drive(grid_points=4001)
+        ts = _half_step_grid((0.0, drive.tau), 0.02)[0]
+        H = two_qubit_full_hamiltonian(params, drive)(ts)
+        return H, dynamics._liouvillian(two_qubit_collapse(STRONG), 6)(H)
+
+    def test_no_entries_across_sectors(self):
+        _, A = self.criterion_7_generator()
+        K = excitation_difference()
+        assert len(two_qubit_collapse(STRONG)) == 4
+        assert np.all(A[:, K[:, None] != K[None, :]] == 0.0)
+        assert np.abs(A[:, K[:, None] == K[None, :]]).max() > 0.0
+        assert [int(np.sum(K == k)) for k in range(-2, 3)] == [3, 8, 14, 8, 3]
+
+    def test_sector_generator_is_the_sliced_one(self):
+        H, A = self.criterion_7_generator()
+        K = excitation_difference()
+        for k in range(-2, 3):
+            keep = np.flatnonzero(K == k)
+            block = dynamics._liouvillian(two_qubit_collapse(STRONG), 6, keep)(H)
+            assert np.array_equal(block, A[:, keep][:, :, keep])
+
+    def test_sector_channel_matches_the_full_vec_space(self):
+        # every one of the 16 evolved |a><b|, the K < 0 ones filled by
+        # conjugate transpose included, against one 36-dimensional run
+        params, drive = two_qubit_drive(grid_points=4001)
+        basis = np.zeros((16, 6, 6), dtype=complex)
+        for n, (a, b) in enumerate((a, b) for a in COMPUTATIONAL_IDX for b in COMPUTATIONAL_IDX):
+            basis[n, a, b] = 1.0
+        ref = evolve_lindblad(two_qubit_full_hamiltonian(params, drive), basis,
+                              two_qubit_collapse(STRONG), (0.0, drive.tau), 0.02).final
+        got = dynamics.two_qubit_channel(params, drive, STRONG, 0.02)
+        assert got.shape == (16, 6, 6)
+        assert np.abs(got - ref).max() <= 1e-12
+        assert np.abs(ref - basis).max() > 1e-2

@@ -353,6 +353,25 @@ class TestAverageGateFidelity2q:
         assert exact == pytest.approx(float(f @ w), abs=1e-12)
         assert exact < 0.999
 
+    def test_full_model_matches_the_full_vec_space_channel(self):
+        # the sector-split channel against the 16 |a><b| evolved together
+        # in the 36-dimensional vec space, through the same reduction
+        params = paper_params()
+        spec = CATALOG["phase"]
+        pulse = synthesize(spec, default_schedule(spec, TWO_QUBIT_COEFFS),
+                           AmplitudeBudget(TWO_PI * 0.015), 1001)
+        drive = build_two_qubit_drive(params, pulse, math.pi / 4)
+        rates = DecoherenceRates(gamma_decay=0.02, kappa_dephase=0.03)
+        evolved = evolve_lindblad(two_qubit_full_hamiltonian(params, drive),
+                                  _channel_basis(COMPUTATIONAL_IDX, 6),
+                                  two_qubit_collapse(rates), (0.0, drive.tau), 0.02).final
+        U = subspace_frame_unitary(drive)
+        ref = _average_fidelity(U.conj().T @ evolved @ U,
+                                target_unitary_2q(drive.gamma_g_prime), COMPUTATIONAL_IDX)
+        f = average_gate_fidelity_2q(params, drive, rates=rates, model="full", dt=0.02)
+        assert f == pytest.approx(float(ref), abs=1e-13)
+        assert f < 0.5
+
     def test_reference_drive_values(self):
         # the criterion-7 drive: full model at a coarse step, effective model
         # at the step its control-phase test uses
