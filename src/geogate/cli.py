@@ -9,6 +9,7 @@ plus a manifest recording the config hash, seed and library versions.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -73,6 +74,13 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+@functools.cache
+def _scipy_version() -> str:
+    """scipy's version from its installed metadata, without importing scipy."""
+    from importlib.metadata import version
+    return version("scipy")
+
+
 def write_manifest(out_dir, command, config, seed, outputs):
     manifest = {
         "command": command,
@@ -81,7 +89,7 @@ def write_manifest(out_dir, command, config, seed, outputs):
         "versions": {
             "geogate": __version__,
             "numpy": np.__version__,
-            "scipy": __import__("scipy").__version__,
+            "scipy": _scipy_version(),
             "python": ".".join(map(str, sys.version_info[:3])),
         },
         "outputs": sorted(os.path.basename(p) for p in outputs),

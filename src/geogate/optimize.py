@@ -17,25 +17,26 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import j1
 
 from ._csv import write_csv
 from .paths import (
     DEFAULT_GRID_POINTS,
     BetaSchedule,
     PathSpec,
+    _trajectory,
     beta_schedule,
-    sample_trajectory,
 )
 
-# location of the first maximum of J1 and the value there
+# location of the first maximum of J1 and the value there, float(j1(J1_ARGMAX))
+# written out so that importing geogate does not load scipy
 J1_ARGMAX = 1.8411837813406593
-J1_MAX = float(j1(J1_ARGMAX))
+J1_MAX = 0.5818652242815964
 
 
 def invert_bessel_j1(y, tol: float = 1e-12):
     """Unique x in [0, argmax) with J1(x) = y, by bracketed bisection."""
+    from scipy.special import j1
+
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     vals = np.atleast_1d(y)
@@ -95,9 +96,10 @@ def objective(coeffs, spec: PathSpec, budget, bound: float = 0.2,
     if any(abs(a) > bound for a in coeffs):
         return math.inf
     schedule = default_schedule(spec, coeffs)
-    if monotone and beta_schedule(schedule, grid_points)[2].min() < 0.0:
+    s, beta, dbeta = beta_schedule(schedule, grid_points)
+    if monotone and dbeta.min() < 0.0:
         return math.inf
-    return normalize_duration(sample_trajectory(spec, schedule, grid_points), budget)
+    return normalize_duration(_trajectory(spec, schedule, s, beta, dbeta), budget)
 
 
 def optimize(problem: OptimizationProblem, seed: int = 0, n_starts: int = 16,
@@ -108,6 +110,8 @@ def optimize(problem: OptimizationProblem, seed: int = 0, n_starts: int = 16,
     inside the box from a seeded generator, so results are reproducible.
     Returns the zero-coefficient baseline if no trial improves on it.
     """
+    from scipy.optimize import minimize
+
     rng = np.random.default_rng(seed)
     history: list = []
 

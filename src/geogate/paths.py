@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 SIN_PI_12 = math.sin(math.pi / 12)
 COS_PI_12 = math.cos(math.pi / 12)
@@ -186,12 +185,15 @@ def sample_trajectory(spec: PathSpec, schedule: BetaSchedule,
     signed polar coordinate folds to |alpha|.  Loop integrals are even in
     alpha, so the accumulated phase is unaffected by the fold.
     """
+    return _trajectory(spec, schedule, *beta_schedule(schedule, grid_points))
+
+
+def _trajectory(spec: PathSpec, schedule: BetaSchedule, s, beta, dbeta) -> PathTrajectory:
+    """The loop on samples (s, beta, dbeta) that ``beta_schedule(schedule, ...)`` returned."""
     if spec.kind is PathKind.POLE_START and schedule.base is not ScheduleBase.HALF_TURN:
         raise ValueError("pole-start loops pair with the half-turn schedule")
     if spec.kind is PathKind.HADAMARD_START and schedule.base is not ScheduleBase.FULL_TURN:
         raise ValueError("Hadamard-start loops pair with the full-turn schedule")
-    s, beta, dbeta = beta_schedule(schedule, grid_points)
-
     if spec.kind is PathKind.POLE_START:
         C = circle_constant(spec.gamma_g)
         phi = beta - math.pi / 2
@@ -217,11 +219,15 @@ def trajectory_from_samples(spec: PathSpec, s, alpha, beta, dalpha_ds, dbeta_ds)
 
 def geometric_phase(traj: PathTrajectory) -> float:
     """Loop phase (1/2) * integral of (1 - cos alpha) d(beta)."""
+    from scipy.integrate import simpson
+
     integrand = 0.5 * (1.0 - np.cos(traj.alpha)) * traj.dbeta_ds
     return float(simpson(integrand, x=traj.s))
 
 
 def path_length(traj: PathTrajectory) -> float:
     """Arc length of the sampled loop on the unit sphere."""
+    from scipy.integrate import simpson
+
     speed = np.sqrt(traj.dalpha_ds**2 + (np.sin(traj.alpha) * traj.dbeta_ds) ** 2)
     return float(simpson(speed, x=traj.s))

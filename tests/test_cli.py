@@ -14,13 +14,33 @@ from geogate.cli import config_hash, load_config, main
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(geogate.__file__)))
 
 
-def run_cli(args, tmp_path, env_extra=None):
+def subprocess_env():
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC_DIR] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    env.update(env_extra or {})
+    return env
+
+
+def run_cli(args, tmp_path):
     return subprocess.run([sys.executable, "-m", "geogate.cli", *args],
-                          capture_output=True, text=True, cwd=tmp_path, env=env)
+                          capture_output=True, text=True, cwd=tmp_path, env=subprocess_env())
+
+
+# runs CLI commands in one fresh interpreter, then prints the scipy modules it loaded
+LOADED_SCIPY = """
+import json, sys
+import geogate, geogate.cli
+for argv in json.loads(sys.argv[1]):
+    assert geogate.cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def scipy_loaded_by(commands, tmp_path):
+    r = subprocess.run([sys.executable, "-c", LOADED_SCIPY, json.dumps(commands)],
+                       capture_output=True, text=True, cwd=tmp_path, env=subprocess_env())
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
 
 
 def write_config(tmp_path, name, payload):
@@ -275,6 +295,36 @@ class TestErrors:
         assert r.returncode == 1
         assert json.loads(r.stderr[len("error: "):])["type"] == "ValueError"
         assert list(out.iterdir()) == []
+
+
+class TestStartup:
+    def test_synth_simulate_scan_never_load_scipy(self, tmp_path):
+        sim = write_config(tmp_path, "sim.json", {
+            "gate": "pi8", "omega0_mhz": 30.0, "gamma_khz": 3.0, "kappa_khz": 3.0,
+            "dt_ns": 0.05, "out_dir": str(tmp_path / "sim"),
+        })
+        scan = write_config(tmp_path, "scan.json", {
+            "gate": "pi8", "dt_ns": 0.05, "out_dir": str(tmp_path / "scan"),
+            "scan": {"axis": "epsilon", "points": 3, "variants": ["geometric"]},
+        })
+        loaded = scipy_loaded_by([["synth", "--gate", "hadamard", "--drag",
+                                   "--out", str(tmp_path / "synth")],
+                                  ["simulate", "--config", sim],
+                                  ["scan", "--config", scan]], tmp_path)
+        assert loaded == []
+        for out in ("synth", "sim", "scan"):
+            assert (tmp_path / out / "manifest.json").is_file()
+
+    @pytest.mark.parametrize("command,payload,module", [
+        ("optimize", {"gate": "pi8", "grid_points": 1001,
+                      "optimize": {"starts": 1, "evals_per_start": 20}}, "scipy.optimize"),
+        ("two-qubit", {"dt_ns": 0.02, "grid_points": 2001,
+                       "two_qubit": {"model": "full"}}, "scipy.special"),
+    ])
+    def test_scipy_commands_run_from_a_fresh_process(self, tmp_path, command, payload, module):
+        cfg = write_config(tmp_path, "cfg.json", {**payload, "out_dir": str(tmp_path / "out")})
+        assert module in scipy_loaded_by([[command, "--config", cfg]], tmp_path)
+        assert (tmp_path / "out" / "manifest.json").is_file()
 
 
 class TestConfigHelpers:

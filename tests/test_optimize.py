@@ -99,7 +99,8 @@ def minimum_duration(spec, budget):
 
 class TestBesselJ1:
     def test_peak_location(self):
-        assert J1_MAX == pytest.approx(scipy_j1(J1_ARGMAX), abs=1e-14)
+        # J1_MAX is a literal so that importing geogate does not load scipy; pin it bit for bit
+        assert J1_MAX == float(scipy_j1(J1_ARGMAX))
         # derivative vanishes at the branch maximum
         h = 1e-6
         assert abs(scipy_j1(J1_ARGMAX + h) - scipy_j1(J1_ARGMAX - h)) / (2 * h) < 1e-5
