@@ -23,10 +23,11 @@ exchange term of its Hamiltonian (|10><01|, |11><02|, |20><11|) conserves
 the excitation number N = k_a + k_b, decay lowers N and dephasing is
 diagonal, so no input with N <= 2 (the computational states among them)
 ever reaches |12>, |21> or |22>.  The same terms conserve
-K = N(i) - N(j) on |i><j| (a weak symmetry of the Liouvillian), so the
-36-dimensional Liouville space splits exactly into closed sectors of
-3, 8, 14, 8 and 3 vec indices for K = -2 ... 2; ``two_qubit_channel``
-evolves the computational inputs sector by sector.
+K = N(i) - N(j) on |i><j| (a weak symmetry of the Liouvillian).  The
+Hermitian basis element of index (i, j) (see "Integrator") spans |i><j|
+and |j><i|, so it carries |K|, and the 36 Hermitian coordinates split
+exactly into closed sectors of 14, 16 and 6 for |K| = 0, 1, 2;
+``two_qubit_channel`` evolves each computational input in its sector.
 
 Drive convention and error model (one source: ``_drive_hamiltonian``).  In
 the frame rotating at the drive frequency a ``DrivePulse`` with detuning
@@ -48,9 +49,15 @@ evolve simultaneously through numpy broadcasting.
 
 Integrator.  Both equations are linear, y' = A(t) y, so one RK4 formula
 (``_rk4_increment``) serves both: A = -iH for kets, and for density
-matrices the Liouvillian in row-major vec form, vec(X rho Y) =
-(X kron Y^T) vec(rho), i.e. A = -i (H kron I - I kron H^T) + D with the
-dissipator D built once per call.  Generators are built per chunk of steps
+matrices the Liouvillian in Hermitian coordinates.  An orthonormal basis
+B of Hermitian d x d matrices (``_hermitian_basis``) gives every density
+matrix real coordinates Tr(B_nu rho), and a Lindblad generator, which
+keeps Hermiticity, becomes a real d^2 x d^2 matrix (the coherence-vector
+form; Alicki and Lendi, Quantum Dynamical Semigroups and Applications,
+1987): A = D + sum_nu h_nu C_nu, with h_nu = Tr(B_nu H) and C_nu the
+generator of -i [B_nu, rho], cached per d, and the dissipator D built once
+per call.  Complex inputs such as |a><b| evolve as their real and
+imaginary coordinate columns.  Generators are built per chunk of steps
 under a fixed byte budget.  The formula applied to the identity gives
 every step map of a chunk at once, held as its difference from the
 identity; a pairwise tree product composes them and the product acts on
@@ -60,6 +67,7 @@ from running products of the interval maps.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -351,17 +359,17 @@ class EvolutionResult:
         return self.states[-1] if self.recorded else self.states
 
 
-def _rk4_increment(A1, A2, A3, Y, h):
-    """Y(t + h) - Y(t) of one classical RK4 step of Y' = A(t) Y.
+def _rk4_increment(A1, A2, A3, h):
+    """Step map minus the identity of one classical RK4 step of Y' = A(t) Y.
 
-    A1, A2, A3 are A at t, t + h/2 and t + h.  With Y the identity the
-    result is the step map minus the identity.
+    A1, A2, A3 are A at t, t + h/2 and t + h; the step starts from Y = I,
+    so k1 = A1 I = A1.
     """
-    k1 = A1 @ Y
-    k2 = A2 @ (Y + 0.5 * h * k1)
-    k3 = A2 @ (Y + 0.5 * h * k2)
-    k4 = A3 @ (Y + h * k3)
-    return (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    eye = np.eye(A1.shape[-1])
+    k2 = A2 @ (eye + 0.5 * h * A1)
+    k3 = A2 @ (eye + 0.5 * h * k2)
+    k4 = A3 @ (eye + h * k3)
+    return (h / 6) * (A1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _then(E2, E1):
@@ -382,7 +390,7 @@ def _interval_maps(E, stride):
     """Maps from the first step to the end of each ``stride``-step record interval,
     as running products by doubling; zero maps (identities) pad a short last one."""
     s = min(stride, len(E))
-    E = np.concatenate([E, np.zeros((-len(E) % s,) + E.shape[1:], dtype=complex)])
+    E = np.concatenate([E, np.zeros((-len(E) % s,) + E.shape[1:], dtype=E.dtype)])
     P = _compose(E.reshape((-1, s) + E.shape[1:]).swapaxes(0, 1))
     k = 1
     while k < len(P):
@@ -395,74 +403,108 @@ def _evolve(hamiltonian, y0, t_span, dt, record_stride, generator):
     """Fixed-step RK4 of y' = A(t) y, A = generator(H), on the half-step grid.
 
     States lie on the last axis of ``y0``; its other axes broadcast against
-    the batch axes of the Hamiltonian samples.
+    the batch axes of the Hamiltonian samples.  Under a real generator a
+    complex state evolves as two real columns, its real and imaginary parts.
     """
     ts, n_steps, h = _half_step_grid(t_span, dt)
     H = np.asarray(hamiltonian(ts))
     hb = H.shape[1:-2]
     batch = np.broadcast_shapes(hb, np.shape(y0)[:-1])
     H = H.reshape(H.shape[:1] + (1,) * (len(batch) - len(hb)) + H.shape[1:])
-    y = np.broadcast_to(np.asarray(y0, dtype=complex), batch + np.shape(y0)[-1:])
+    dtype = generator(H[:0]).dtype  # real for density matrices, complex for kets
+    y = np.broadcast_to(np.asarray(y0), batch + np.shape(y0)[-1:])
+    split = np.iscomplexobj(y) and dtype.kind == "f"
+    Y = np.stack([y.real, y.imag], axis=-1) if split else y[..., None]
     dim = y.shape[-1]
-    Y = y[..., None]
-    # chunks hold whole record intervals, or split one that exceeds the budget
+    # chunks hold whole record intervals, or split one that exceeds the budget;
+    # a step reads two generator samples
     stride = record_stride or n_steps
-    c = max(1, _CHUNK_BYTES // (32 * dim * dim * math.prod(hb)))
+    c = max(1, _CHUNK_BYTES // (2 * dtype.itemsize * dim * dim * math.prod(hb)))
     c = c // stride * stride or c
     period = max(c, stride)
     starts = [k for p in range(0, n_steps, period) for k in range(p, min(p + period, n_steps), c)]
     records, ends = [Y[None]], [0]
     for k0, k1 in zip(starts, starts[1:] + [n_steps]):
         A = generator(H[2 * k0:2 * k1 + 1])
-        P = _interval_maps(_rk4_increment(A[:-1:2], A[1::2], A[2::2], np.eye(dim), h), stride)
+        P = _interval_maps(_rk4_increment(A[:-1:2], A[1::2], A[2::2], h), stride)
         Ys = Y + P @ Y
         steps = k0 + np.minimum(np.arange(1, len(P) + 1) * stride, k1 - k0)
         Y = Ys[-1]
         keep = (steps % stride == 0) | (steps == n_steps)
         records.append(Ys[keep])
         ends.extend(steps[keep])
-    Ys = (np.concatenate(records) if record_stride else Y[None])[..., 0]
+    Ys = np.concatenate(records) if record_stride else Y[None]
+    Ys = Ys[..., 0] + 1j * Ys[..., 1] if split else Ys[..., 0]
     if record_stride:
         return EvolutionResult(ts[2 * np.array(ends)], Ys, recorded=True)
     return EvolutionResult(np.array([ts[-1]]), Ys[0], recorded=False)
 
 
-def _liouvillian(collapse, d, keep=None):
-    """Generator builder of the master equation in row-major vec form.
+@functools.cache
+def _hermitian_basis(d):
+    """Rows T = conj(vec B) of the orthonormal Hermitian basis B of d x d matrices.
 
-    H[x, y] enters H kron I at ((x, k), (y, k)) and I kron H^T at
-    ((k, y), (k, x)); each generator is the dissipator plus these entries.
-    ``keep`` (sorted vec indices, all by default) restricts the generator
-    to a set that it maps into itself, such as a K sector.
+    Index d i + j holds E_ii for i = j, (E_ij + E_ji)/sqrt(2) for i < j and
+    i (E_ji - E_ij)/sqrt(2) for i > j, so a basis index and the row-major vec
+    index of |i><j| name the same (i, j).  T is unitary, and the coordinates
+    T vec(rho) of a Hermitian rho are real.  Cached per d and read-only.
     """
+    i, j = np.divmod(np.arange(d * d), d)
+    n, mirror, r = np.arange(d * d), d * j + i, math.sqrt(0.5)
+    T = np.zeros((d * d, d * d), dtype=complex)
+    T[n, n] = np.where(i == j, 1.0, np.where(i < j, r, 1j * r))
+    T[n[i != j], mirror[i != j]] = np.where(i < j, r, -1j * r)[i != j]
+    T.flags.writeable = False
+    return T
+
+
+@functools.cache
+def _commutator_generators(d):
+    """C[nu] = T (-i (B_nu kron I - I kron B_nu^T)) T^+, the real generator of
+    -i [B_nu, rho] in Hermitian coordinates; shape (d^2, d^2, d^2).
+
+    Entry [nu, m, l] is Tr(B_m (-i [B_nu, B_l])) = 2 Im Tr(B_m B_nu B_l), and
+    Tr(X B_l) = vec(X) . T[l].  Built one nu at a time, which keeps the
+    transient memory at one slice.  Cached per d and read-only.
+    """
+    T = _hermitian_basis(d)
+    B = T.conj().reshape(d * d, d, d)
+    C = np.empty((d * d,) * 3)
+    for nu, b in enumerate(B):
+        C[nu] = 2 * ((B @ b).reshape(d * d, d * d) @ T.T).imag
+    C.flags.writeable = False
+    return C
+
+
+def _liouvillian(collapse, d, keep=None):
+    """Generator builder of the master equation in Hermitian coordinates.
+
+    A Lindblad generator keeps Hermiticity, so in the basis of
+    ``_hermitian_basis`` it is real: A(t) = D + sum_nu h_nu(t) C[nu], with
+    h = Re(T vec H) the coordinates of H and D the dissipator, built once.
+    ``keep`` (sorted basis indices, all by default) restricts the generator
+    to a set that it maps into itself, such as a |K| sector.
+    """
+    T = _hermitian_basis(d)
     eye = np.eye(d)
     D = np.zeros((d * d, d * d), dtype=complex)
     for r, L in collapse:
         L = np.asarray(L, dtype=complex)
         K = L.conj().T @ L
         D += r * (np.kron(L, L.conj()) - 0.5 * (np.kron(K, eye) + np.kron(eye, K.T)))
-    keep = np.arange(d * d) if keep is None else np.asarray(keep)
-    n = len(keep)
-    D = D[np.ix_(keep, keep)]
-    pos = np.full(d * d, -1)
-    pos[keep] = np.arange(n)
-    x, y, k = np.indices((d, d, d)).reshape(3, -1)
-    scatters = []
-    for row, col in ((pos[x * d + k], pos[y * d + k]), (pos[k * d + y], pos[k * d + x])):
-        inside = (row >= 0) & (col >= 0)
-        scatters.append((row[inside] * n + col[inside], (x * d + y)[inside]))
-    (left, left_source), (right, right_source) = scatters
-    # with all indices, or a K = 0 sector, both scatters read the same samples
-    shared = np.array_equal(left_source, right_source)
+    D = (T @ D @ T.conj().T).real
+    C = _commutator_generators(d)
+    if keep is not None:
+        D, C = D[np.ix_(keep, keep)], C[:, keep][:, :, keep]
+    n = len(D)
+    D = D.ravel()
+    C = C.reshape(d * d, n * n)
 
     def generator(H):
-        A = np.empty(H.shape[:-2] + (n * n,), dtype=complex)
-        A[...] = D.ravel()
-        H = H.reshape(H.shape[:-2] + (d * d,))
-        mH = -1j * H[..., left_source]
-        A[..., left] += mH
-        A[..., right] -= mH if shared else -1j * H[..., right_source]
-        return A.reshape(H.shape[:-1] + (n, n))
+        h = (H.reshape(-1, d * d) @ T.T).real
+        A = h @ C
+        A += D
+        return A.reshape(H.shape[:-2] + (n, n))
 
     return generator
 
@@ -477,9 +519,10 @@ def evolve_lindblad(hamiltonian, rho0, collapse=(), t_span=None, dt=DEFAULT_DT,
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[-1]
-    vec0 = rho0.reshape(rho0.shape[:-2] + (d * d,))
-    result = _evolve(hamiltonian, vec0, t_span, dt, record_stride, _liouvillian(collapse, d))
-    result.states = result.states.reshape(result.states.shape[:-1] + (d, d))
+    T = _hermitian_basis(d)
+    coords = rho0.reshape(rho0.shape[:-2] + (d * d,)) @ T.T
+    result = _evolve(hamiltonian, coords, t_span, dt, record_stride, _liouvillian(collapse, d))
+    result.states = (result.states @ T.conj()).reshape(result.states.shape[:-1] + (d, d))
     return result
 
 
@@ -487,27 +530,25 @@ def two_qubit_channel(params: TransmonParams, drive: TwoQubitDrive,
                       rates: DecoherenceRates, dt: float = DEFAULT_DT) -> np.ndarray:
     """E(|a><b|) of the coupled pair for a, b in ``COMPUTATIONAL_IDX``, index 4 a + b.
 
-    Each K sector of the vec space is closed (module docstring).  The K >= 0
-    sectors evolve one at a time, all on one Hamiltonian grid sampled here,
-    and the channel keeps Hermiticity, so E(|b><a|) = E(|a><b|)^+ fills the
-    K < 0 inputs.
+    Each |K| sector of the Hermitian coordinates is closed (module
+    docstring).  Every input evolves in its own sector, the sectors one at
+    a time, all on one Hamiltonian grid sampled here.
     """
     d = len(LEVELS)
     t_span = (0.0, drive.tau)
     H = two_qubit_full_hamiltonian(params, drive)(_half_step_grid(t_span, dt)[0])
+    T = _hermitian_basis(d)
     N = np.sum(LEVELS, axis=1)
-    K = np.subtract.outer(N, N).ravel()  # of the vec index d i + j of |i><j|
+    K = np.abs(np.subtract.outer(N, N)).ravel()  # |K| of the basis index d i + j
     comp = np.array(COMPUTATIONAL_IDX)
-    inputs = np.add.outer(d * comp, comp).ravel()
-    out = np.zeros((len(inputs), d * d), dtype=complex)
+    inputs = np.add.outer(d * comp, comp).ravel()  # vec index of |a><b|
+    out = np.empty((len(inputs), d * d), dtype=complex)
     collapse = two_qubit_collapse(rates)
     for k in range(K.max() + 1):
         keep, mine = np.flatnonzero(K == k), np.flatnonzero(K[inputs] == k)
-        out[mine[:, None], keep] = _evolve(lambda ts: H, inputs[mine, None] == keep, t_span, dt,
-                                           None, _liouvillian(collapse, d, keep)).final
-    out = out.reshape(len(comp), len(comp), d, d)
-    lower = K[inputs].reshape(len(comp), len(comp)) < 0
-    out[lower] = out.swapaxes(0, 1)[lower].swapaxes(-1, -2).conj()
+        coords = _evolve(lambda ts: H, T[np.ix_(keep, inputs[mine])].T, t_span, dt, None,
+                         _liouvillian(collapse, d, keep)).final
+        out[mine] = coords @ T[keep].conj()
     return out.reshape(-1, d, d)
 
 

@@ -6,8 +6,8 @@ over initial states cos(theta)|0> + sin(theta)|1> with theta uniform on
 states.
 
 One reduction serves every fidelity.  The computational-basis matrices
-|a><b| evolve once (for the coupled pair, the K >= 0 sectors evolve and
-the K < 0 inputs are filled by conjugate transpose); by linearity the
+|a><b| evolve once (for the coupled pair, each in its |K| sector of the
+Hermitian coordinates, under a real generator); by linearity the
 fidelity of every input is a degree-4 polynomial in
 k = (cos theta, sin theta), so its average is an exact contraction with
 the equatorial moments E[c^4] = E[s^4] = 3/8, E[c^2 s^2] = 1/8

@@ -168,6 +168,11 @@ def two_qubit_inputs():
     return two_qubit_full_hamiltonian(params, drive), basis
 
 
+def chunk_steps(d):
+    """Steps per chunk of the real d^2 x d^2 generator: two float64 samples per step."""
+    return dynamics._CHUNK_BYTES // (2 * np.dtype(float).itemsize * d ** 4)
+
+
 class TestRK4Core:
     """The composed core against a plain per-step RK4."""
 
@@ -221,7 +226,7 @@ class TestRK4Core:
         pulse = drag_correct(synthesize(CATALOG["pi8"], grid_points=801), ANH)
         sampler = three_level_hamiltonian(pulse, ANH)
         n_steps = round(pulse.tau / 0.005)
-        assert n_steps > 3 * dynamics._CHUNK_BYTES // (32 * 9 ** 2)
+        assert n_steps > 3 * chunk_steps(3)
         collapse = qubit_collapse(STRONG, 3)
         rho0 = ket_dm([1.0, 0.0, 0.0])
         got = evolve_lindblad(sampler, rho0, collapse, (0.0, pulse.tau), dt=0.005).final
@@ -235,8 +240,7 @@ class TestRK4Core:
         sampler = three_level_hamiltonian(pulse, ANH)
         n_steps = round(pulse.tau / 0.01)
         assert n_steps % stride != 0 or stride == 1
-        chunk_steps = dynamics._CHUNK_BYTES // (32 * 9 ** 2)
-        assert (stride < chunk_steps) == (stride < 300)
+        assert (stride < chunk_steps(3)) == (stride < 300)
         collapse = qubit_collapse(STRONG, 3)
         rho0 = ket_dm([1.0, 1.0, 0.0])
         got = evolve_lindblad(sampler, rho0, collapse, (0.0, pulse.tau), dt=0.01,
@@ -630,14 +634,103 @@ class TestTwoQubitHamiltonians:
         assert ops1[1][1][2, 2] == 0.0
 
 
-def excitation_difference():
-    """K = N(i) - N(j) of the vec index 6 i + j of |i><j|."""
+def reference_hermitian_basis(d):
+    """The Hermitian basis from its definition: E_ii, (E_ij + E_ji)/sqrt(2) for
+    i < j and i (E_ji - E_ij)/sqrt(2) for i > j, at index d i + j."""
+    r = math.sqrt(0.5)  # 1/sqrt(2) correctly rounded
+    B = np.zeros((d * d, d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            E = np.zeros((d, d))
+            E[i, j] = 1.0
+            if i == j:
+                B[d * i + j] = E
+            elif i < j:
+                B[d * i + j] = r * (E + E.T)
+            else:
+                B[d * i + j] = 1j * r * (E.T - E)
+    return B
+
+
+def random_hermitian(rng, d):
+    X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (X + X.conj().T) / 2
+
+
+def vec_liouvillian(H, collapse):
+    """Row-major vec-form generator, vec(X rho Y) = (X kron Y^T) vec(rho)."""
+    eye = np.eye(len(H))
+    A = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    for r, L in collapse:
+        LdL = L.conj().T @ L
+        A += r * (np.kron(L, L.conj()) - 0.5 * (np.kron(LdL, eye) + np.kron(eye, LdL.T)))
+    return A
+
+
+COLLAPSE_SETS = [(2, "qubit"), (3, "qubit"), (6, "qubit"), (6, "two_qubit")]
+
+
+def collapse_set(d, kind):
+    return qubit_collapse(STRONG, d) if kind == "qubit" else two_qubit_collapse(STRONG)
+
+
+class TestHermitianCoordinates:
+    """Density matrices evolve in the real coordinates Tr(B_nu rho)."""
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_basis(self, d):
+        B = reference_hermitian_basis(d)
+        T = dynamics._hermitian_basis(d)
+        assert np.array_equal(T, B.conj().reshape(d * d, d * d))
+        assert np.array_equal(B, B.conj().swapaxes(-1, -2))
+        assert np.abs(T @ T.conj().T - np.eye(d * d)).max() <= 1e-15
+        assert not T.flags.writeable
+        assert not dynamics._commutator_generators(d).flags.writeable
+
+    @pytest.mark.parametrize("d, kind", COLLAPSE_SETS)
+    def test_generator_is_the_rotated_vec_form(self, d, kind):
+        rng = np.random.default_rng(d)
+        H = np.stack([random_hermitian(rng, d) for _ in range(3)])
+        collapse = collapse_set(d, kind)
+        T = reference_hermitian_basis(d).conj().reshape(d * d, d * d)
+        A = dynamics._liouvillian(collapse, d)(H)
+        assert A.shape == (3, d * d, d * d) and A.dtype == np.float64
+        for Hk, Ak in zip(H, A):
+            rotated = T @ vec_liouvillian(Hk, collapse) @ T.conj().T
+            assert np.abs(rotated.imag).max() <= 1e-13
+            assert np.abs(Ak - rotated.real).max() <= 1e-13
+        # the coordinates of the identity are a left null vector: trace is kept
+        identity = (T @ np.eye(d).ravel()).real
+        assert np.abs(identity @ A).max() <= 1e-15
+
+    @pytest.mark.parametrize("d, kind", COLLAPSE_SETS)
+    def test_hermitian_state_has_real_coordinates_at_every_record(self, d, kind):
+        rng = np.random.default_rng(10 + d)
+        H0, H1 = random_hermitian(rng, d), random_hermitian(rng, d)
+
+        def sampler(ts):
+            return H0 + np.cos(ts)[:, None, None] * H1
+
+        X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho0 = X @ X.conj().T
+        rho0 /= np.trace(rho0).real
+        res = evolve_lindblad(sampler, rho0, collapse_set(d, kind), (0.0, 2.0), dt=0.01,
+                              record_stride=20)
+        assert len(res.times) == 11
+        T = reference_hermitian_basis(d).conj().reshape(d * d, d * d)
+        coords = res.states.reshape(-1, d * d) @ T.T
+        assert np.abs(coords.imag).max() <= 1e-15
+        assert np.abs(res.states[-1] - rho0).max() > 1e-2
+
+
+def excitation_sectors():
+    """|K| = |N(i) - N(j)| of the Hermitian basis index 6 i + j, which spans |i><j| and |j><i|."""
     N = np.sum(LEVELS, axis=1)
-    return np.subtract.outer(N, N).ravel()
+    return np.abs(np.subtract.outer(N, N)).ravel()
 
 
 class TestExcitationSectors:
-    """The coupled pair's Liouvillian splits exactly by K = N(ket) - N(bra)."""
+    """The coupled pair's real generator splits exactly by |K|, K = N(ket) - N(bra)."""
 
     def criterion_7_generator(self):
         params, drive = two_qubit_drive(grid_points=4001)
@@ -647,23 +740,24 @@ class TestExcitationSectors:
 
     def test_no_entries_across_sectors(self):
         _, A = self.criterion_7_generator()
-        K = excitation_difference()
+        K = excitation_sectors()
         assert len(two_qubit_collapse(STRONG)) == 4
+        assert A.dtype == np.float64
         assert np.all(A[:, K[:, None] != K[None, :]] == 0.0)
         assert np.abs(A[:, K[:, None] == K[None, :]]).max() > 0.0
-        assert [int(np.sum(K == k)) for k in range(-2, 3)] == [3, 8, 14, 8, 3]
+        assert [int(np.sum(K == k)) for k in range(3)] == [14, 16, 6]
 
     def test_sector_generator_is_the_sliced_one(self):
         H, A = self.criterion_7_generator()
-        K = excitation_difference()
-        for k in range(-2, 3):
+        K = excitation_sectors()
+        for k in range(3):
             keep = np.flatnonzero(K == k)
             block = dynamics._liouvillian(two_qubit_collapse(STRONG), 6, keep)(H)
             assert np.array_equal(block, A[:, keep][:, :, keep])
 
     def test_sector_channel_matches_the_full_vec_space(self):
-        # every one of the 16 evolved |a><b|, the K < 0 ones filled by
-        # conjugate transpose included, against one 36-dimensional run
+        # every one of the 16 evolved |a><b|, each in its own |K| sector,
+        # against one run of all 36 coordinates
         params, drive = two_qubit_drive(grid_points=4001)
         basis = np.zeros((16, 6, 6), dtype=complex)
         for n, (a, b) in enumerate((a, b) for a in COMPUTATIONAL_IDX for b in COMPUTATIONAL_IDX):
