@@ -10,15 +10,12 @@ for loops through the north pole, and through the implicit constraint
 
     2 sin(pi/12) sin(alpha) cos(beta) - 2 cos(pi/12) cos(alpha) + 1 = 0
 
-for the Hadamard loop that starts at (pi/4, 0).  That constraint reads
-A sin(alpha) + B cos(alpha) = -1 with A = 2 sin(pi/12) cos(beta) and
-B = -2 cos(pi/12), so with R = hypot(A, B) >= 2 cos(pi/12) > 1 it has the
-closed-form root
+for the Hadamard loop that starts at (pi/4, 0), whose closed-form root
+``hadamard_alpha_of_beta`` derives.
 
-    alpha = pi - atan2(A, 2 cos(pi/12)) - arccos(-1/R),
-
-the only root in (0, pi/2) at any azimuth: the other root, with
-psi = atan2(A, -B) in [-pi/12, pi/12], is -psi - arccos(1/R) < 0.
+A trajectory is algebraic in the azimuth: its sin and cos come from one
+half-angle tangent, then sin(alpha), cos(alpha) and d(alpha)/ds follow in
+closed form (no sin, cos, arctan or hypot); alpha is derived on demand.
 
 The azimuth schedule (``BetaSchedule``) fixes how fast the loop is
 traversed and carries the optional sine-series correction terms used to
@@ -96,13 +93,19 @@ class PathTrajectory:
     spec: PathSpec
     schedule: BetaSchedule | None
     s: np.ndarray
-    alpha: np.ndarray
+    sin_alpha: np.ndarray
+    cos_alpha: np.ndarray
     beta: np.ndarray
     dalpha_ds: np.ndarray
     dbeta_ds: np.ndarray
 
     def __len__(self):
         return len(self.s)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """Polar angle from the stored sine and cosine; in [0, pi] where sin(alpha) >= 0."""
+        return np.arctan2(self.sin_alpha, self.cos_alpha)
 
 
 def circle_constant(gamma_g: float) -> float:
@@ -114,31 +117,37 @@ def circle_constant(gamma_g: float) -> float:
     return math.sqrt(2 * math.pi * gamma_g - gamma_g**2) / (math.pi - gamma_g)
 
 
+def _half_angle(x):
+    """sin(x) and cos(x) from one tangent: t = tan(x/2), 2t/(1+t^2), (1-t^2)/(1+t^2)."""
+    t = np.tan(0.5 * x)
+    w = 1.0 + t * t
+    return 2.0 * t / w, (1.0 - t * t) / w
+
+
+def _hadamard_root(cos_beta):
+    """sin(alpha), cos(alpha) and q = sqrt(R^2 - 1) of the Hadamard loop."""
+    a = 2 * SIN_PI_12 * cos_beta
+    r2 = a * a + (2 * COS_PI_12) ** 2
+    q = np.sqrt(r2 - 1.0)
+    return (2 * COS_PI_12 * q - a) / r2, (2 * COS_PI_12 + a * q) / r2, q
+
+
 def hadamard_alpha_of_beta(beta):
     """Polar angle of the Hadamard loop at azimuth ``beta``.
 
-    The constraint is A sin(alpha) + B cos(alpha) = -1 with
-    A = 2 sin(pi/12) cos(beta) and B = -2 cos(pi/12).  Writing A = R sin(psi)
-    and -B = R cos(psi) turns it into cos(alpha + psi) = 1/R, and
-    R >= 2 cos(pi/12) > 1 keeps 1/R below 1, so a root exists for every
-    azimuth.  The roots are alpha = -psi +- arccos(1/R) (mod 2 pi).  Since
-    |psi| <= pi/12 and arccos(1/R) lies in [1.02, pi/3], the minus root is
-    negative (above pi once wrapped), so the branch in (0, pi/2) is unique:
-    alpha = arccos(1/R) - psi = pi - psi - arccos(-1/R), which runs from
-    alpha(0) = pi/4 to alpha(pi) = 5 pi/12.
+    The constraint is A sin(alpha) - c cos(alpha) = -1 with
+    A = 2 sin(pi/12) cos(beta) and c = 2 cos(pi/12).  Writing A = R sin(psi)
+    and c = R cos(psi) turns it into cos(alpha + psi) = 1/R, and R >= c > 1
+    keeps 1/R below 1, so a root exists for every azimuth.  The roots are
+    alpha = -psi +- arccos(1/R) (mod 2 pi).  Since |psi| <= pi/12 and
+    arccos(1/R) lies in [1.02, pi/3], the minus root is negative (above pi
+    once wrapped), so the branch in (0, pi/2) is unique: alpha = arccos(1/R) - psi,
+    of sine (c q - A)/R^2 and cosine (c + A q)/R^2, q = sqrt(R^2 - 1).  It
+    runs from alpha(0) = pi/4 to alpha(pi) = 5 pi/12.
     """
-    beta = np.asarray(beta, dtype=float)
-    a = 2 * SIN_PI_12 * np.cos(beta)
-    alpha = (math.pi - np.arctan2(a, 2 * COS_PI_12)
-             - np.arccos(-1.0 / np.hypot(a, 2 * COS_PI_12)))
+    sin_alpha, cos_alpha, _ = _hadamard_root(_half_angle(np.asarray(beta, dtype=float))[1])
+    alpha = np.arctan2(sin_alpha, cos_alpha)
     return float(alpha) if alpha.ndim == 0 else alpha
-
-
-def hadamard_dalpha_dbeta(alpha, beta):
-    """Implicit derivative d(alpha)/d(beta) along the Hadamard loop."""
-    num = SIN_PI_12 * np.sin(alpha) * np.sin(beta)
-    den = SIN_PI_12 * np.cos(alpha) * np.cos(beta) + COS_PI_12 * np.sin(alpha)
-    return num / den
 
 
 @functools.lru_cache(maxsize=8)
@@ -189,39 +198,44 @@ def sample_trajectory(spec: PathSpec, schedule: BetaSchedule,
 
 
 def _trajectory(spec: PathSpec, schedule: BetaSchedule, s, beta, dbeta) -> PathTrajectory:
-    """The loop on samples (s, beta, dbeta) that ``beta_schedule(schedule, ...)`` returned."""
+    """The loop on samples (s, beta, dbeta) that ``beta_schedule(schedule, ...)`` returned.
+
+    Pole start: alpha = 2 arctan|u|, u = C sin(beta - pi/2), and d(alpha)/ds flips
+    sign where u < 0 (not at u = 0).  Hadamard: implicit differentiation gives
+    d(alpha)/d(beta) = 2 sin(pi/12) sin(beta) sin(alpha) / q.
+    """
     if spec.kind is PathKind.POLE_START and schedule.base is not ScheduleBase.HALF_TURN:
         raise ValueError("pole-start loops pair with the half-turn schedule")
     if spec.kind is PathKind.HADAMARD_START and schedule.base is not ScheduleBase.FULL_TURN:
         raise ValueError("Hadamard-start loops pair with the full-turn schedule")
     if spec.kind is PathKind.POLE_START:
         C = circle_constant(spec.gamma_g)
-        phi = beta - math.pi / 2
-        sin_fac = np.sin(phi)
-        signed = 2.0 * np.arctan(C * sin_fac)
-        dsigned = 2.0 * C * np.cos(phi) / (1.0 + (C * sin_fac) ** 2) * dbeta
-        sign = np.where(signed < 0.0, -1.0, 1.0)
-        alpha = np.abs(signed)
-        dalpha = sign * dsigned
+        sin_phi, cos_phi = _half_angle(beta - math.pi / 2)
+        u = C * sin_phi
+        w = 1.0 + u * u
+        sin_alpha, cos_alpha = 2.0 * np.abs(u) / w, (1.0 - u * u) / w
+        dalpha = np.where(u < 0.0, -1.0, 1.0) * (2.0 * C * cos_phi / w * dbeta)
     else:
-        alpha = hadamard_alpha_of_beta(beta)
-        dalpha = hadamard_dalpha_dbeta(alpha, beta) * dbeta
+        sin_beta, cos_beta = _half_angle(beta)
+        sin_alpha, cos_alpha, q = _hadamard_root(cos_beta)
+        dalpha = 2 * SIN_PI_12 * sin_beta * sin_alpha / q * dbeta
 
-    return PathTrajectory(spec=spec, schedule=schedule, s=s, alpha=alpha,
-                          beta=beta, dalpha_ds=dalpha, dbeta_ds=dbeta)
+    return PathTrajectory(spec=spec, schedule=schedule, s=s, sin_alpha=sin_alpha,
+                          cos_alpha=cos_alpha, beta=beta, dalpha_ds=dalpha, dbeta_ds=dbeta)
 
 
 def trajectory_from_samples(spec: PathSpec, s, alpha, beta, dalpha_ds, dbeta_ds) -> PathTrajectory:
     """Wrap externally constructed samples (comparison loops, ad-hoc paths)."""
-    arrays = [np.asarray(a, dtype=float) for a in (s, alpha, beta, dalpha_ds, dbeta_ds)]
-    return PathTrajectory(spec, None, *arrays)
+    s, alpha, beta, dalpha_ds, dbeta_ds = (np.asarray(a, dtype=float)
+                                           for a in (s, alpha, beta, dalpha_ds, dbeta_ds))
+    return PathTrajectory(spec, None, s, np.sin(alpha), np.cos(alpha), beta, dalpha_ds, dbeta_ds)
 
 
 def geometric_phase(traj: PathTrajectory) -> float:
     """Loop phase (1/2) * integral of (1 - cos alpha) d(beta)."""
     from scipy.integrate import simpson
 
-    integrand = 0.5 * (1.0 - np.cos(traj.alpha)) * traj.dbeta_ds
+    integrand = 0.5 * (1.0 - traj.cos_alpha) * traj.dbeta_ds
     return float(simpson(integrand, x=traj.s))
 
 
@@ -229,5 +243,5 @@ def path_length(traj: PathTrajectory) -> float:
     """Arc length of the sampled loop on the unit sphere."""
     from scipy.integrate import simpson
 
-    speed = np.sqrt(traj.dalpha_ds**2 + (np.sin(traj.alpha) * traj.dbeta_ds) ** 2)
+    speed = np.sqrt(traj.dalpha_ds**2 + (traj.sin_alpha * traj.dbeta_ds) ** 2)
     return float(simpson(speed, x=traj.s))

@@ -128,7 +128,7 @@ class DrivePulse:
 def dimensionless_envelope(traj: PathTrajectory) -> np.ndarray:
     """Xi(s): the drive envelope before the duration is fixed."""
     return np.sqrt(traj.dalpha_ds**2
-                   + (traj.dbeta_ds * np.sin(traj.alpha) * np.cos(traj.alpha)) ** 2)
+                   + (traj.dbeta_ds * traj.sin_alpha * traj.cos_alpha) ** 2)
 
 
 def normalize_duration(traj: PathTrajectory, budget: AmplitudeBudget = DEFAULT_BUDGET) -> float:
@@ -144,7 +144,7 @@ def rabi_envelope(traj: PathTrajectory, tau: float):
     """
     xi = dimensionless_envelope(traj)
     envelope = xi / tau
-    quad = traj.dbeta_ds * np.sin(traj.alpha) * np.cos(traj.alpha)
+    quad = traj.dbeta_ds * traj.sin_alpha * traj.cos_alpha
     zeta = np.arctan2(traj.dalpha_ds, quad)
     degenerate = (np.abs(traj.dalpha_ds) < 1e-13) & (np.abs(quad) < 1e-13)
     if degenerate.all():
@@ -164,7 +164,7 @@ def synthesize(spec: PathSpec, schedule: BetaSchedule | None = None,
     traj = sample_trajectory(spec, schedule, grid_points)
     tau = normalize_duration(traj, budget)
     envelope, zeta = rabi_envelope(traj, tau)
-    delta = -(traj.dbeta_ds / tau) * np.sin(traj.alpha) ** 2
+    delta = -(traj.dbeta_ds / tau) * traj.sin_alpha ** 2
     phase = traj.beta - zeta + math.pi
     return DrivePulse(tau=tau, t=traj.s * tau, delta=delta, omega=envelope,
                       phase=phase, beta_dot=traj.dbeta_ds / tau, zeta=zeta,

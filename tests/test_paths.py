@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from geogate.pulses import dimensionless_envelope
 from geogate.paths import (
     BetaSchedule,
     PathKind,
     PathSpec,
     ScheduleBase,
     _schedule_basis,
+    _trajectory,
     beta_schedule,
     circle_constant,
     geometric_phase,
@@ -59,6 +61,26 @@ def hadamard_alpha_closed_form(beta):
     B = 2 * math.cos(math.pi / 12)
     R = np.hypot(A, B)
     return np.arctan2(B, A) - np.arcsin(1.0 / R)
+
+
+def trig_loop(spec, beta, dbeta):
+    """sin(alpha), cos(alpha) and d(alpha)/ds from the trigonometric formulas:
+    the polar angle by arctan (pole start) or arctan2, arccos and hypot
+    (Hadamard), the Hadamard derivative by implicit differentiation."""
+    if spec.kind is PathKind.POLE_START:
+        C = circle_constant(spec.gamma_g)
+        phi = beta - math.pi / 2
+        signed = 2.0 * np.arctan(C * np.sin(phi))
+        dsigned = 2.0 * C * np.cos(phi) / (1.0 + (C * np.sin(phi)) ** 2) * dbeta
+        alpha = np.abs(signed)
+        dalpha = np.where(signed < 0.0, -1.0, 1.0) * dsigned
+    else:
+        s12, c12 = math.sin(math.pi / 12), math.cos(math.pi / 12)
+        a = 2 * s12 * np.cos(beta)
+        alpha = math.pi - np.arctan2(a, 2 * c12) - np.arccos(-1.0 / np.hypot(a, 2 * c12))
+        dalpha = (s12 * np.sin(alpha) * np.sin(beta)
+                  / (s12 * np.cos(alpha) * np.cos(beta) + c12 * np.sin(alpha)) * dbeta)
+    return np.sin(alpha), np.cos(alpha), dalpha
 
 
 class TestCircleConstant:
@@ -154,6 +176,54 @@ class TestHadamardAlpha:
         alpha = hadamard_alpha_of_beta(0.3)
         assert type(alpha) is float
         assert alpha == pytest.approx(hadamard_alpha_of_beta(np.array([0.3]))[0], abs=1e-15)
+
+
+class TestAlgebraicLoop:
+    """The half-angle trajectory against the trigonometric formulas it replaces."""
+
+    @pytest.mark.parametrize("spec,base", [(PHASE, ScheduleBase.HALF_TURN),
+                                           (PI8, ScheduleBase.HALF_TURN),
+                                           (HADAMARD, ScheduleBase.FULL_TURN)])
+    def test_random_in_box_vectors(self, spec, base):
+        rng = np.random.default_rng(15)
+        folded = 0
+        for coeffs in [()] + [tuple(rng.uniform(-0.2, 0.2, 3)) for _ in range(40)]:
+            traj = sample_trajectory(spec, BetaSchedule(base, coeffs))
+            want = trig_loop(spec, traj.beta, traj.dbeta_ds)
+            for got, ref in zip((traj.sin_alpha, traj.cos_alpha, traj.dalpha_ds), want):
+                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+            xi = np.sqrt(want[2] ** 2 + (traj.dbeta_ds * want[0] * want[1]) ** 2)
+            assert dimensionless_envelope(traj).max() == pytest.approx(xi.max(), rel=1e-14, abs=0)
+            if spec.kind is PathKind.POLE_START:
+                folded += bool((np.sin(traj.beta - math.pi / 2) < 0.0).any())
+        assert folded > 0 or spec.kind is PathKind.HADAMARD_START
+
+    @pytest.mark.parametrize("spec", [PHASE, PI8])
+    def test_pole_start_fold_and_end_points(self, spec):
+        # u = 0 at the start, u < 0 before it, phi = pi at the end, where the
+        # half-angle tangent is about 1.6e16, and beyond the end
+        beta = np.array([math.pi / 2, math.pi / 2 - 0.3, math.pi, 3 * math.pi / 2,
+                         3 * math.pi / 2 + 0.2])
+        dbeta = np.full_like(beta, 2.5)
+        traj = _trajectory(spec, HALF, np.linspace(0, 1, 5), beta, dbeta)
+        want = trig_loop(spec, beta, dbeta)
+        for got, ref in zip((traj.sin_alpha, traj.cos_alpha, traj.dalpha_ds), want):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        # at phi = pi the tiny sin(alpha) keeps its relative accuracy
+        assert 0.0 < traj.sin_alpha[3] == pytest.approx(want[0][3], rel=1e-14, abs=0)
+        # the fold sign is +1 at u = 0 (not np.sign's 0) and -1 where u < 0
+        assert traj.dalpha_ds[0] == 2.0 * circle_constant(spec.gamma_g) * 2.5
+        assert traj.dalpha_ds[1] < 0.0 and traj.sin_alpha[1] > 0.0
+
+    def test_hadamard_start_mid_and_closure(self):
+        beta = np.array([0.0, math.pi / 2, math.pi, 1.5 * math.pi, 2 * math.pi])
+        dbeta = np.full_like(beta, 2.5)
+        traj = _trajectory(HADAMARD, FULL, np.linspace(0, 1, 5), beta, dbeta)
+        for got, ref in zip((traj.sin_alpha, traj.cos_alpha, traj.dalpha_ds),
+                            trig_loop(HADAMARD, beta, dbeta)):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert traj.alpha[2] == pytest.approx(5 * math.pi / 12, abs=1e-15)
+        assert traj.dalpha_ds[2] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestBetaSchedule:
