@@ -29,7 +29,6 @@ from .dynamics import (
     IDX_02, IDX_11, IDX_20, LEVELS,
 )
 from .fidelity import (
-    average_gate_fidelity_1q,
     average_gate_fidelity_2q,
     check_two_qubit_model,
     fidelity_dynamics,
@@ -102,15 +101,23 @@ def write_manifest(out_dir, command, config, seed, outputs):
     return path
 
 
+def _number(config, key, default) -> float:
+    """``config[key]`` (``default`` when absent), which must be a JSON number."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {key!r} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _budget(config, args) -> AmplitudeBudget:
     if getattr(args, "omega0", None) is not None:
         return AmplitudeBudget(args.omega0)  # flag value already in rad/ns
-    return AmplitudeBudget(config.get("omega0_mhz", 30.0) * MHZ)
+    return AmplitudeBudget(_number(config, "omega0_mhz", 30.0) * MHZ)
 
 
 def _rates(config) -> DecoherenceRates:
-    return DecoherenceRates(gamma_decay=config.get("gamma_khz", 0.0) * KHZ,
-                            kappa_dephase=config.get("kappa_khz", 0.0) * KHZ)
+    return DecoherenceRates(gamma_decay=_number(config, "gamma_khz", 0.0) * KHZ,
+                            kappa_dephase=_number(config, "kappa_khz", 0.0) * KHZ)
 
 
 def _coeffs(config, args):
@@ -131,7 +138,7 @@ def _gate_name(config, args) -> str:
 def _dt(config, args, default=0.001) -> float:
     if getattr(args, "dt", None) is not None:
         return args.dt
-    return config.get("dt_ns", default)
+    return _number(config, "dt_ns", default)
 
 
 def _out_dir(config, args) -> str:
@@ -147,7 +154,7 @@ def cmd_synth(args) -> int:
     grid = config.get("grid_points", 4001)
     pulse = synthesize(spec, default_schedule(spec, coeffs), budget, grid)
     if args.drag or config.get("drag"):
-        anh = config.get("anharmonicity_mhz", 220.0) * MHZ
+        anh = _number(config, "anharmonicity_mhz", 220.0) * MHZ
         pulse = drag_correct(pulse, anh)
     out_dir = _out_dir(config, args)
     os.makedirs(out_dir, exist_ok=True)
@@ -166,23 +173,22 @@ def cmd_simulate(args) -> int:
     budget = _budget(config, args)
     model = args.model or config.get("model", "three_level")
     rates = _rates(config)
-    err = ErrorFractions(epsilon=config.get("epsilon", 0.0),
-                         delta=config.get("delta", 0.0))
+    err = ErrorFractions(epsilon=_number(config, "epsilon", 0.0),
+                         delta=_number(config, "delta", 0.0))
     dt = _dt(config, args)
-    anh = config.get("anharmonicity_mhz", 220.0) * MHZ
+    anh = _number(config, "anharmonicity_mhz", 220.0) * MHZ
     pulse = synthesize(spec, default_schedule(spec, _coeffs(config, args)), budget,
                        config.get("grid_points", 4001))
     if model == "three_level" and config.get("drag", True):
         pulse = drag_correct(pulse, anh)
         if _coeffs(config, args):
             print("note: reshaped schedules pair poorly with the leakage correction")
-    fid = average_gate_fidelity_1q(pulse, target_unitary(spec), model=model,
-                                   anharmonicity=anh, rates=rates, err=err, dt=dt)
     defaults = {"pi8": [1.0, 1.0], "phase": [1.0, 1.0], "hadamard": [1.0, 0.0]}
     ket0 = config.get("initial_state", defaults.get(gate, [1.0, 0.0]))
     trace = fidelity_dynamics(pulse, ket0, model=model, anharmonicity=anh,
                               rates=rates, err=err, dt=dt,
                               record_stride=config.get("record_stride", 20))
+    fid = trace.gate_fidelity(target_unitary(spec))
     out_dir = _out_dir(config, args)
     os.makedirs(out_dir, exist_ok=True)
     out = os.path.join(out_dir, f"trace_{gate}_{model}.csv")
@@ -229,12 +235,12 @@ def cmd_scan(args) -> int:
 def cmd_two_qubit(args) -> int:
     config = load_config(args.config)
     tq = config.get("two_qubit", {})
-    params = TransmonParams(g=tq.get("g_mhz", 10.0) * MHZ,
-                            Delta=tq.get("delta_mhz", 500.0) * MHZ,
-                            anh_a=tq.get("anh_a_mhz", 220.0) * MHZ,
-                            anh_b=tq.get("anh_b_mhz", 200.0) * MHZ)
-    budget = AmplitudeBudget(tq.get("gprime_max_mhz", 15.0) * MHZ)
-    gamma_prime = tq.get("gamma_g_prime_over_pi", 0.25) * math.pi
+    params = TransmonParams(g=_number(tq, "g_mhz", 10.0) * MHZ,
+                            Delta=_number(tq, "delta_mhz", 500.0) * MHZ,
+                            anh_a=_number(tq, "anh_a_mhz", 220.0) * MHZ,
+                            anh_b=_number(tq, "anh_b_mhz", 200.0) * MHZ)
+    budget = AmplitudeBudget(_number(tq, "gprime_max_mhz", 15.0) * MHZ)
+    gamma_prime = _number(tq, "gamma_g_prime_over_pi", 0.25) * math.pi
     coeffs = tuple(tq.get("coeffs", TWO_QUBIT_COEFFS))
     model = args.model or tq.get("model", "full")
     rates = _rates(config)

@@ -12,8 +12,11 @@ fidelity of every input is a degree-4 polynomial in
 k = (cos theta, sin theta), so its average is an exact contraction with
 the equatorial moments E[c^4] = E[s^4] = 3/8, E[c^2 s^2] = 1/8
 (qubit-wise for product states).  No theta is sampled.
-Robustness scans evolve all error points of a variant as one batch and
-reduce them the same way.
+One evolution of |a><b| (``_evolve_channel``) serves the driven qubit:
+the average fidelity and the robustness scans (all error points of a
+variant in one batch) reduce its final value, and the F(t) and
+population trace of a ket k read rho(t) = sum k_a k_b* E_t(|a><b|) from
+the recorded channel.
 
 Dynamical comparator gates compile the same target unitaries into
 sequences of resonant rotations about equatorial axes, every segment at
@@ -36,6 +39,7 @@ from .dynamics import (
     DEFAULT_DT,
     COMPUTATIONAL_IDX,
     _drive_hamiltonian,
+    _fractions,
     _warn_if_out_of_range,
     DecoherenceRates,
     ErrorFractions,
@@ -45,7 +49,6 @@ from .dynamics import (
     evolve_schrodinger,
     qubit_collapse,
     subspace_frame_unitary,
-    three_level_hamiltonian,
     two_level_hamiltonian,
     two_qubit_channel,
 )
@@ -78,16 +81,6 @@ _MOMENTS = {2: _M1,
             4: np.einsum("abij,cdkl->acbdikjl", _M1, _M1).reshape(4, 4, 4, 4)}
 
 
-def _builder(model, pulse, anharmonicity, err):
-    if model == "two_level":
-        return two_level_hamiltonian(pulse, err), 2
-    if model == "three_level":
-        if anharmonicity is None:
-            raise ValueError("three_level model needs an anharmonicity")
-        return three_level_hamiltonian(pulse, anharmonicity, err), 3
-    raise ValueError(f"unknown single-qubit model {model!r}")
-
-
 def _channel_basis(idx, dim: int) -> np.ndarray:
     """The matrices |a><b| (index n*a + b) on the computational indices idx, in dimension dim."""
     n = len(idx)
@@ -112,6 +105,29 @@ def _average_fidelity(evolved, target, idx):
     return np.einsum("abpq,...abpq->...", _MOMENTS[n], G).real
 
 
+def _evolve_channel(pulse, model, anharmonicity, rates, epsilon, delta, dt,
+                    record_stride=None):
+    """E_t(|a><b|) of the driven qubit on its levels 0 and 1, index 2a + b.
+
+    The only single-qubit evolution: error values given as arrays add a
+    point axis to the Hamiltonian grid that broadcasts against the basis.
+    """
+    if model == "two_level":
+        anharmonicity = None
+    elif model != "three_level":
+        raise ValueError(f"unknown single-qubit model {model!r}")
+    elif anharmonicity is None:
+        raise ValueError("three_level model needs an anharmonicity")
+    dim = 2 if anharmonicity is None else 3
+
+    def sampler(ts):
+        return _drive_hamiltonian(pulse, ts, epsilon, delta, anharmonicity)[..., None, :, :]
+
+    return evolve_lindblad(sampler, _channel_basis(QUBIT_IDX, dim),
+                           qubit_collapse(rates or DecoherenceRates(), dim),
+                           (0.0, pulse.tau), dt, record_stride)
+
+
 def average_gate_fidelity_1q(pulse: DrivePulse, target: np.ndarray,
                              model: str = "two_level",
                              anharmonicity: float | None = None,
@@ -126,10 +142,7 @@ def average_gate_fidelity_1q(pulse: DrivePulse, target: np.ndarray,
     """
     if method != "channel":
         raise ValueError(f"unknown method {method!r}; only 'channel' is available")
-    sampler, dim = _builder(model, pulse, anharmonicity, err)
-    rates = rates or DecoherenceRates()
-    evolved = evolve_lindblad(sampler, _channel_basis(QUBIT_IDX, dim),
-                              qubit_collapse(rates, dim), (0.0, pulse.tau), dt).final
+    evolved = _evolve_channel(pulse, model, anharmonicity, rates, *_fractions(err), dt).final
     return float(_average_fidelity(evolved, target, QUBIT_IDX))
 
 
@@ -233,19 +246,9 @@ class ScanResult:
 
 
 def _scan_variant(pulse, target, axis, values, rates, dt):
-    """Fidelities of one variant at every error value.
-
-    All error points evolve together: the sampler gets the error values as
-    an array, so the Hamiltonian grid gains a point axis that broadcasts
-    against the shared channel basis.
-    """
+    """Fidelities of one variant at every error value, all points evolved as one batch."""
     epsilon, delta = (values, 0.0) if axis == "epsilon" else (0.0, values)
-
-    def sampler(ts):
-        return _drive_hamiltonian(pulse, ts, epsilon, delta)[:, :, None]
-
-    rho0 = np.broadcast_to(_channel_basis(QUBIT_IDX, 2), (len(values), 4, 2, 2))
-    evolved = evolve_lindblad(sampler, rho0, qubit_collapse(rates, 2), (0.0, pulse.tau), dt).final
+    evolved = _evolve_channel(pulse, "two_level", None, rates, epsilon, delta, dt).final
     return _average_fidelity(evolved, target, QUBIT_IDX)
 
 
@@ -278,6 +281,11 @@ class FidelityTrace:
     times: np.ndarray
     fidelity: np.ndarray
     populations: np.ndarray
+    channel: np.ndarray  # final E(|a><b|), index 2a + b
+
+    def gate_fidelity(self, target) -> float:
+        """Average gate fidelity of the final channel against ``target``."""
+        return float(_average_fidelity(self.channel, target, QUBIT_IDX))
 
     def to_csv(self, path):
         pops = list(self.populations.T)
@@ -290,22 +298,20 @@ def fidelity_dynamics(pulse: DrivePulse, ket0, model: str = "three_level",
                       rates: DecoherenceRates | None = None,
                       err: ErrorFractions | None = None,
                       dt: float = DEFAULT_DT, record_stride: int = 20) -> FidelityTrace:
-    """F(t) against the ideal closed two-level evolution, plus populations."""
-    sampler, dim = _builder(model, pulse, anharmonicity, err)
-    rates = rates or DecoherenceRates()
-    ket0 = np.asarray(ket0, dtype=complex)
-    ket0 = ket0 / np.linalg.norm(ket0)
-    full0 = np.zeros(dim, dtype=complex)
-    full0[:len(ket0)] = ket0
-    rho0 = np.outer(full0, full0.conj())
-    res = evolve_lindblad(sampler, rho0, qubit_collapse(rates, dim),
-                          (0.0, pulse.tau), dt, record_stride=record_stride)
+    """F(t) against the ideal closed two-level evolution, plus populations.
 
-    ideal_pulse = replace(pulse, drag=None)
-    ref = evolve_schrodinger(two_level_hamiltonian(ideal_pulse), ket0[:2],
-                             (0.0, pulse.tau), dt, record_stride=record_stride)
-    ref_full = np.zeros((len(ref.times), dim), dtype=complex)
-    ref_full[:, :2] = ref.states
-    fid = np.einsum("ti,tij,tj->t", ref_full.conj(), res.states, ref_full).real
-    pops = np.einsum("tii->ti", res.states).real
-    return FidelityTrace(times=res.times, fidelity=fid, populations=pops)
+    rho(t) = sum k_a k_b* E_t(|a><b|) is read from the recorded channel, so
+    the trace also carries the gate's average fidelity.
+    """
+    ket0 = np.asarray(ket0, dtype=complex)
+    norm = np.linalg.norm(ket0)
+    if ket0.shape != (2,) or not 0 < norm < np.inf:
+        raise ValueError("initial_state must be two finite amplitudes, not both zero")
+    ket0 = ket0 / norm
+    res = _evolve_channel(pulse, model, anharmonicity, rates, *_fractions(err), dt, record_stride)
+    rho = np.einsum("k,tkij->tij", np.outer(ket0, ket0.conj()).ravel(), res.states)
+    ref = evolve_schrodinger(two_level_hamiltonian(replace(pulse, drag=None)), ket0,
+                             (0.0, pulse.tau), dt, record_stride=record_stride).states
+    fid = np.einsum("ti,tij,tj->t", ref.conj(), rho[:, :2, :2], ref).real
+    pops = np.einsum("tii->ti", rho).real
+    return FidelityTrace(times=res.times, fidelity=fid, populations=pops, channel=res.final)

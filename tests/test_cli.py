@@ -8,6 +8,7 @@ import pytest
 
 import geogate
 from geogate.cli import config_hash, load_config, main
+from geogate.dynamics import evolve_lindblad
 
 # the directory holding the imported package, so that subprocesses started
 # in a temporary working directory import the same geogate
@@ -113,6 +114,38 @@ class TestSimulate:
         assert r.returncode == 0
         fid = float(r.stdout.splitlines()[0].split("=")[1])
         assert 0.994 < fid < 1.0
+
+
+    def test_one_lindblad_integration(self, tmp_path, monkeypatch):
+        # the printed F and the trace come from one evolution of |a><b|
+        import geogate.fidelity as fid_mod
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return evolve_lindblad(*args, **kwargs)
+
+        monkeypatch.setattr(fid_mod, "evolve_lindblad", spy)
+        cfg = write_config(tmp_path, "once.json", {
+            "gate": "pi8", "gamma_khz": 3.0, "kappa_khz": 3.0, "dt_ns": 0.05,
+            "out_dir": str(tmp_path / "once"),
+        })
+        assert main(["simulate", "--config", cfg]) == 0
+        assert len(calls) == 1
+        assert (tmp_path / "once" / "trace_pi8_three_level.csv").is_file()
+
+    @pytest.mark.parametrize("ket", [[0, 0], [1.0], [1.0, 0.0, 0.5], [[1.0, 0.0]]])
+    def test_bad_initial_state_writes_nothing(self, tmp_path, capsys, ket):
+        out = tmp_path / "bad_ket"
+        cfg = write_config(tmp_path, "bad_ket.json", {
+            "gate": "pi8", "dt_ns": 0.05, "initial_state": ket, "out_dir": str(out),
+        })
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0][len("error: "):])
+        assert payload["type"] == "ValueError" and "initial_state" in payload["message"]
+        assert not out.exists()
 
 
 class TestScan:
@@ -295,6 +328,26 @@ class TestErrors:
         assert r.returncode == 1
         assert json.loads(r.stderr[len("error: "):])["type"] == "ValueError"
         assert list(out.iterdir()) == []
+
+
+    @pytest.mark.parametrize("command, payload, key", [
+        ("synth", {"gate": "pi8", "omega0_mhz": "30"}, "omega0_mhz"),
+        ("synth", {"gate": "pi8", "drag": True, "anharmonicity_mhz": [220]}, "anharmonicity_mhz"),
+        ("simulate", {"gate": "pi8", "gamma_khz": True}, "gamma_khz"),
+        ("simulate", {"gate": "pi8", "epsilon": None}, "epsilon"),
+        ("scan", {"gate": "pi8", "dt_ns": "0.05"}, "dt_ns"),
+        ("two-qubit", {"two_qubit": {"g_mhz": "10"}}, "g_mhz"),
+    ])
+    def test_non_numeric_value_names_the_key(self, tmp_path, capsys, command, payload, key):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "typed.json", {**payload, "out_dir": str(out)})
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        payload = json.loads(err[0][len("error: "):])
+        assert payload["type"] == "ConfigError"
+        assert repr(key) in payload["message"]
+        assert not out.exists()
 
 
 class TestStartup:

@@ -15,6 +15,7 @@ from geogate.dynamics import (
     evolve_schrodinger,
     qubit_collapse,
     subspace_frame_unitary,
+    three_level_hamiltonian,
     two_level_hamiltonian,
     two_qubit_collapse,
     two_qubit_full_hamiltonian,
@@ -256,7 +257,8 @@ class TestFidelityDynamics:
 
     def test_recorded_states_are_density_matrices(self, monkeypatch):
         # no step symmetrizes the state: RK4 of the Hermiticity-preserving
-        # generator keeps every recorded state a density matrix by itself
+        # generator keeps every recorded rho(t) = sum k_a k_b* E_t(|a><b|)
+        # a density matrix by itself
         import geogate.fidelity as fid_mod
         runs = []
 
@@ -268,11 +270,54 @@ class TestFidelityDynamics:
         pulse = drag_correct(synthesize(CATALOG["pi8"]), ANH)
         fidelity_dynamics(pulse, [1.0, 1.0], model="three_level", anharmonicity=ANH,
                           rates=RATES, dt=0.01)
-        states = runs[0].states
+        ket = np.array([1.0, 1.0]) / math.sqrt(2)
+        states = np.einsum("k,tkij->tij", np.outer(ket, ket).ravel(), runs[0].states)
         assert len(states) > 90
         assert np.abs(states - states.conj().swapaxes(-1, -2)).max() <= 1e-13
         assert np.abs(np.einsum("tii->t", states) - 1.0).max() <= 1e-12
         assert np.linalg.eigvalsh(states).min() >= -1e-12
+
+    @pytest.mark.parametrize("model, ket", [("two_level", [1.0, 1.0]),
+                                            ("three_level", [1.0, 1.0]),
+                                            ("three_level", [0.6, 0.8j])])
+    def test_matches_padded_state_route(self, model, ket):
+        # reference: the padded initial state evolved by itself, F(t) against
+        # the ideal two-level ket padded with zeros
+        pulse = synthesize(CATALOG["hadamard"], grid_points=1001)
+        dim = 2 if model == "two_level" else 3
+        if dim == 3:
+            pulse = drag_correct(pulse, ANH)
+        rates = DecoherenceRates(gamma_decay=TWO_PI * 3e-4, kappa_dephase=TWO_PI * 3e-4)
+        err = ErrorFractions(epsilon=0.05, delta=-0.03)
+        sampler = (two_level_hamiltonian(pulse, err) if dim == 2
+                   else three_level_hamiltonian(pulse, ANH, err))
+        k = np.asarray(ket, dtype=complex) / np.linalg.norm(ket)
+        full = np.zeros(dim, dtype=complex)
+        full[:2] = k
+        res = evolve_lindblad(sampler, np.outer(full, full.conj()), qubit_collapse(rates, dim),
+                              (0.0, pulse.tau), 0.01, record_stride=20)
+        ref = evolve_schrodinger(two_level_hamiltonian(replace(pulse, drag=None)), k,
+                                 (0.0, pulse.tau), 0.01, record_stride=20).states
+        ref_full = np.zeros((len(ref), dim), dtype=complex)
+        ref_full[:, :2] = ref
+        fid = np.einsum("ti,tij,tj->t", ref_full.conj(), res.states, ref_full).real
+        trace = fidelity_dynamics(pulse, ket, model=model, anharmonicity=ANH, rates=rates,
+                                  err=err, dt=0.01, record_stride=20)
+        assert np.array_equal(trace.times, res.times)
+        assert np.abs(trace.fidelity - fid).max() <= 1e-13
+        assert np.abs(trace.populations - np.einsum("tii->ti", res.states).real).max() <= 1e-13
+        assert fid.min() < 0.999
+
+    @pytest.mark.parametrize("model", ["two_level", "three_level"])
+    def test_gate_fidelity_is_the_average_gate_fidelity(self, model):
+        spec = CATALOG["pi8"]
+        pulse = drag_correct(synthesize(spec, grid_points=1001), ANH)
+        kw = dict(model=model, anharmonicity=ANH, rates=RATES,
+                  err=ErrorFractions(epsilon=0.04), dt=0.01)
+        trace = fidelity_dynamics(pulse, [1.0, 0.0], **kw)
+        target = target_unitary(spec)
+        assert trace.gate_fidelity(target) == pytest.approx(
+            average_gate_fidelity_1q(pulse, target, **kw), abs=1e-14)
 
 
 def paper_params():
