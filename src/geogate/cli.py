@@ -109,6 +109,22 @@ def _number(config, key, default) -> float:
     return float(value)
 
 
+def _integer(config, key, default) -> int:
+    """``config[key]`` (``default`` when absent), which must be a JSON integer."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config key {key!r} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _flag(config, key, default) -> bool:
+    """``config[key]`` (``default`` when absent), which must be true or false."""
+    value = config.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"config key {key!r} must be true or false, got {json.dumps(value)}")
+    return value
+
+
 def _budget(config, args) -> AmplitudeBudget:
     if getattr(args, "omega0", None) is not None:
         return AmplitudeBudget(args.omega0)  # flag value already in rad/ns
@@ -151,9 +167,10 @@ def cmd_synth(args) -> int:
     spec = CATALOG[gate]
     budget = _budget(config, args)
     coeffs = _coeffs(config, args)
-    grid = config.get("grid_points", 4001)
+    grid = _integer(config, "grid_points", 4001)
+    drag = _flag(config, "drag", False) or args.drag
     pulse = synthesize(spec, default_schedule(spec, coeffs), budget, grid)
-    if args.drag or config.get("drag"):
+    if drag:
         anh = _number(config, "anharmonicity_mhz", 220.0) * MHZ
         pulse = drag_correct(pulse, anh)
     out_dir = _out_dir(config, args)
@@ -177,17 +194,18 @@ def cmd_simulate(args) -> int:
                          delta=_number(config, "delta", 0.0))
     dt = _dt(config, args)
     anh = _number(config, "anharmonicity_mhz", 220.0) * MHZ
-    pulse = synthesize(spec, default_schedule(spec, _coeffs(config, args)), budget,
-                       config.get("grid_points", 4001))
-    if model == "three_level" and config.get("drag", True):
+    grid = _integer(config, "grid_points", 4001)
+    stride = _integer(config, "record_stride", 20)
+    drag = _flag(config, "drag", True)
+    pulse = synthesize(spec, default_schedule(spec, _coeffs(config, args)), budget, grid)
+    if model == "three_level" and drag:
         pulse = drag_correct(pulse, anh)
         if _coeffs(config, args):
             print("note: reshaped schedules pair poorly with the leakage correction")
     defaults = {"pi8": [1.0, 1.0], "phase": [1.0, 1.0], "hadamard": [1.0, 0.0]}
     ket0 = config.get("initial_state", defaults.get(gate, [1.0, 0.0]))
     trace = fidelity_dynamics(pulse, ket0, model=model, anharmonicity=anh,
-                              rates=rates, err=err, dt=dt,
-                              record_stride=config.get("record_stride", 20))
+                              rates=rates, err=err, dt=dt, record_stride=stride)
     fid = trace.gate_fidelity(target_unitary(spec))
     out_dir = _out_dir(config, args)
     os.makedirs(out_dir, exist_ok=True)
@@ -205,8 +223,8 @@ def cmd_scan(args) -> int:
     gate = _gate_name(config, args)
     scan_cfg = config.get("scan", {})
     axes = scan_cfg.get("axes", [scan_cfg.get("axis", "epsilon")])
-    n_points = scan_cfg.get("points", 41)
-    lo, hi = scan_cfg.get("min", -0.1), scan_cfg.get("max", 0.1)
+    n_points = _integer(scan_cfg, "points", 41)
+    lo, hi = _number(scan_cfg, "min", -0.1), _number(scan_cfg, "max", 0.1)
     include = tuple(scan_cfg.get("variants", ("geometric", "geometric_po", "dynamical")))
     style = scan_cfg.get("comparator_style", "canonical")
     rates = _rates(config)
@@ -246,6 +264,8 @@ def cmd_two_qubit(args) -> int:
     rates = _rates(config)
     check_two_qubit_model(model, rates)
     dt = _dt(config, args)
+    grid = _integer(config, "grid_points", 4001)
+    stride = _integer(config, "record_stride", 200)
     out_dir = _out_dir(config, args)
     if gamma_prime == 0.0:
         # a zero phase is the identity gate: no drive, nothing to evolve
@@ -256,8 +276,7 @@ def cmd_two_qubit(args) -> int:
     from .paths import PathKind, PathSpec
     spec = PathSpec(gamma_g=gamma_prime, alpha0=0.0, beta0=math.pi / 2,
                     kind=PathKind.POLE_START)
-    pulse = synthesize(spec, default_schedule(spec, coeffs), budget,
-                       config.get("grid_points", 4001))
+    pulse = synthesize(spec, default_schedule(spec, coeffs), budget, grid)
     drive = build_two_qubit_drive(params, pulse, gamma_prime)
     fid = average_gate_fidelity_2q(params, drive, rates=rates, model=model, dt=dt)
     os.makedirs(out_dir, exist_ok=True)
@@ -266,8 +285,7 @@ def cmd_two_qubit(args) -> int:
         sampler = two_qubit_full_hamiltonian(params, drive)
         psi0 = np.zeros(len(LEVELS), dtype=complex)
         psi0[IDX_11] = 1.0
-        res = evolve_schrodinger(sampler, psi0, (0.0, drive.tau), dt,
-                                 record_stride=config.get("record_stride", 200))
+        res = evolve_schrodinger(sampler, psi0, (0.0, drive.tau), dt, record_stride=stride)
         pops = np.abs(res.states) ** 2
         out = os.path.join(out_dir, "trace_two_qubit_full.csv")
         write_csv(out, ["t_ns", "pop_11", "pop_02", "pop_20", "pop_other"],
@@ -286,15 +304,17 @@ def cmd_optimize(args) -> int:
     config = load_config(args.config)
     gate = _gate_name(config, args)
     budget = _budget(config, args)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    seed = _integer(config, "seed", 0)
+    if args.seed is not None:
+        seed = args.seed
     opt_cfg = config.get("optimize", {})
     problem = OptimizationProblem(CATALOG[gate], budget,
-                                  bound=opt_cfg.get("bound", 0.2),
-                                  monotone=opt_cfg.get("monotone", True),
-                                  grid_points=config.get("grid_points", 4001))
+                                  bound=_number(opt_cfg, "bound", 0.2),
+                                  monotone=_flag(opt_cfg, "monotone", True),
+                                  grid_points=_integer(config, "grid_points", 4001))
     result = optimize(problem, seed=seed,
-                      n_starts=opt_cfg.get("starts", 16),
-                      max_evals_per_start=opt_cfg.get("evals_per_start", 500))
+                      n_starts=_integer(opt_cfg, "starts", 16),
+                      max_evals_per_start=_integer(opt_cfg, "evals_per_start", 500))
     out_dir = _out_dir(config, args)
     os.makedirs(out_dir, exist_ok=True)
     out = os.path.join(out_dir, f"optimize_{gate}.csv")

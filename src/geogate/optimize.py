@@ -8,12 +8,15 @@ so, with ``monotone`` set, do trials whose azimuth turns back (beta_dot < 0
 somewhere, tested before the polar angle is computed).  The loop phase is
 not checked: it is (1/2) * integral of (1 - cos alpha) d(beta) over a fixed
 azimuth window, so no schedule can change it.
+
+The search is a multi-start Nelder-Mead simplex, run by ``_nelder_mead``: a
+port of scipy's default unbounded rules, so ``optimize`` loads no scipy
+module.  scipy is used here only by ``invert_bessel_j1`` (for ``j1``).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +105,85 @@ def objective(coeffs, spec: PathSpec, budget, bound: float = 0.2,
     return normalize_duration(_trajectory(spec, schedule, s, beta, dbeta), budget)
 
 
+class _Exhausted(Exception):
+    """Raised in place of an objective call once ``maxfev`` calls are spent."""
+
+
+def _ordered(sim, fsim):
+    """Simplex vertices and values, sorted by value."""
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def _nelder_mead(f, x0, maxfev: int, xatol: float, fatol: float):
+    """Minimize ``f`` from ``x0`` by the Nelder-Mead simplex (Comput. J. 7, 308, 1965).
+
+    A port of ``scipy.optimize.minimize(f, x0, method="Nelder-Mead")`` with
+    no bounds, ``adaptive=False`` and no ``maxiter``: the same first simplex,
+    trial points, ordering, ``maxfev`` count and ``xatol``/``fatol`` stop, in
+    the same order of floating-point operations, so ``f`` sees the same
+    points.  Returns the best vertex and the smallest simplex value.
+    """
+    n = len(x0)
+    calls = 0
+
+    def call(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _Exhausted
+        calls += 1
+        return f(np.copy(x))
+
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _Exhausted:
+        pass
+    # scipy orders the first simplex twice; argsort need not keep ties in place
+    sim, fsim = _ordered(*_ordered(sim, fsim))
+    while calls < maxfev:
+        if np.max(np.abs(sim[1:] - sim[0])) <= xatol:
+            with np.errstate(invalid="ignore"):  # inf - inf between rejected vertices
+                if np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+                    break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = call(xc)
+                    keep = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = call(xc)
+                    keep = fxc < fsim[-1]
+                if keep:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = call(sim[j])
+        except _Exhausted:
+            pass
+        sim, fsim = _ordered(sim, fsim)
+    return sim[0], np.min(fsim)
+
+
 def optimize(problem: OptimizationProblem, seed: int = 0, n_starts: int = 16,
              max_evals_per_start: int = 500) -> OptimizationResult:
     """Multi-start simplex descent over the coefficient box.
@@ -110,8 +192,6 @@ def optimize(problem: OptimizationProblem, seed: int = 0, n_starts: int = 16,
     inside the box from a seeded generator, so results are reproducible.
     Returns the zero-coefficient baseline if no trial improves on it.
     """
-    from scipy.optimize import minimize
-
     rng = np.random.default_rng(seed)
     history: list = []
 
@@ -129,14 +209,10 @@ def optimize(problem: OptimizationProblem, seed: int = 0, n_starts: int = 16,
             x0 = np.zeros(problem.n)
         else:
             x0 = rng.uniform(-problem.bound / 2, problem.bound / 2, problem.n)
-        with warnings.catch_warnings():
-            # rejected trials return inf; the simplex bookkeeping subtracts them
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = minimize(recorded_objective, x0, method="Nelder-Mead",
-                           options={"maxfev": max_evals_per_start,
-                                    "xatol": 1e-6, "fatol": 1e-9})
-        if np.isfinite(res.fun) and res.fun < best_tau:
-            best_tau = float(res.fun)
-            best_coeffs = tuple(float(v) for v in res.x)
+        x, fun = _nelder_mead(recorded_objective, x0, max_evals_per_start,
+                              xatol=1e-6, fatol=1e-9)
+        if np.isfinite(fun) and fun < best_tau:
+            best_tau = float(fun)
+            best_coeffs = tuple(float(v) for v in x)
     return OptimizationResult(coeffs=best_coeffs, tau=best_tau,
                               baseline_tau=baseline, history=history)

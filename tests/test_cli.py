@@ -284,6 +284,28 @@ class TestOptimize:
         assert tau < 19.0
 
 
+# one mistyped value per integer, number and boolean key the commands read
+MISTYPED = [
+    ("synth", {"gate": "pi8", "grid_points": "4001"}, "grid_points", "an integer"),
+    ("optimize", {"gate": "pi8", "grid_points": 1001.0}, "grid_points", "an integer"),
+    ("two-qubit", {"grid_points": [4001]}, "grid_points", "an integer"),
+    ("simulate", {"gate": "pi8", "record_stride": "20"}, "record_stride", "an integer"),
+    ("two-qubit", {"record_stride": 200.5}, "record_stride", "an integer"),
+    ("scan", {"gate": "pi8", "scan": {"points": "3"}}, "points", "an integer"),
+    ("optimize", {"gate": "pi8", "optimize": {"starts": 2.0}}, "starts", "an integer"),
+    ("optimize", {"gate": "pi8", "optimize": {"evals_per_start": "500"}},
+     "evals_per_start", "an integer"),
+    ("optimize", {"gate": "pi8", "seed": True}, "seed", "an integer"),
+    ("scan", {"gate": "pi8", "scan": {"min": "-0.1"}}, "min", "a number"),
+    ("scan", {"gate": "pi8", "scan": {"max": None}}, "max", "a number"),
+    ("optimize", {"gate": "pi8", "optimize": {"bound": "0.2"}}, "bound", "a number"),
+    ("optimize", {"gate": "pi8", "optimize": {"monotone": "false"}}, "monotone",
+     "true or false"),
+    ("synth", {"gate": "pi8", "drag": "true"}, "drag", "true or false"),
+    ("simulate", {"gate": "pi8", "model": "two_level", "drag": 1}, "drag", "true or false"),
+]
+
+
 class TestErrors:
     def test_bad_config_json_is_machine_readable(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -349,9 +371,30 @@ class TestErrors:
         assert repr(key) in payload["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, payload, key, kind", MISTYPED,
+                             ids=[f"{c[0]}-{c[2]}" for c in MISTYPED])
+    def test_mistyped_value_names_the_key(self, tmp_path, capsys, command, payload, key, kind):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "typed.json", {**payload, "out_dir": str(out)})
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        payload = json.loads(err[0][len("error: "):])
+        assert payload["type"] == "ConfigError"
+        assert payload["message"].startswith(f"config key {key!r} must be {kind}, got ")
+        assert not out.exists()
+
+    def test_seed_flag_does_not_hide_a_mistyped_config_seed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "seed.json", {"gate": "pi8", "seed": "7",
+                                                   "out_dir": str(out)})
+        assert main(["optimize", "--config", cfg, "--seed", "7"]) == 1
+        assert "'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStartup:
-    def test_synth_simulate_scan_never_load_scipy(self, tmp_path):
+    def test_synth_simulate_scan_optimize_never_load_scipy(self, tmp_path):
         sim = write_config(tmp_path, "sim.json", {
             "gate": "pi8", "omega0_mhz": 30.0, "gamma_khz": 3.0, "kappa_khz": 3.0,
             "dt_ns": 0.05, "out_dir": str(tmp_path / "sim"),
@@ -360,23 +403,25 @@ class TestStartup:
             "gate": "pi8", "dt_ns": 0.05, "out_dir": str(tmp_path / "scan"),
             "scan": {"axis": "epsilon", "points": 3, "variants": ["geometric"]},
         })
+        opt = write_config(tmp_path, "opt.json", {
+            "gate": "pi8", "grid_points": 1001, "out_dir": str(tmp_path / "opt"),
+            "optimize": {"starts": 2, "evals_per_start": 20},
+        })
         loaded = scipy_loaded_by([["synth", "--gate", "hadamard", "--drag",
                                    "--out", str(tmp_path / "synth")],
                                   ["simulate", "--config", sim],
-                                  ["scan", "--config", scan]], tmp_path)
+                                  ["scan", "--config", scan],
+                                  ["optimize", "--config", opt]], tmp_path)
         assert loaded == []
-        for out in ("synth", "sim", "scan"):
+        for out in ("synth", "sim", "scan", "opt"):
             assert (tmp_path / out / "manifest.json").is_file()
 
-    @pytest.mark.parametrize("command,payload,module", [
-        ("optimize", {"gate": "pi8", "grid_points": 1001,
-                      "optimize": {"starts": 1, "evals_per_start": 20}}, "scipy.optimize"),
-        ("two-qubit", {"dt_ns": 0.02, "grid_points": 2001,
-                       "two_qubit": {"model": "full"}}, "scipy.special"),
-    ])
-    def test_scipy_commands_run_from_a_fresh_process(self, tmp_path, command, payload, module):
-        cfg = write_config(tmp_path, "cfg.json", {**payload, "out_dir": str(tmp_path / "out")})
-        assert module in scipy_loaded_by([[command, "--config", cfg]], tmp_path)
+    def test_two_qubit_loads_scipy_special_from_a_fresh_process(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "dt_ns": 0.02, "grid_points": 2001, "two_qubit": {"model": "full"},
+            "out_dir": str(tmp_path / "out"),
+        })
+        assert "scipy.special" in scipy_loaded_by([["two-qubit", "--config", cfg]], tmp_path)
         assert (tmp_path / "out" / "manifest.json").is_file()
 
 

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize
 from scipy.special import j1 as scipy_j1
 
 from geogate.optimize import (
@@ -10,6 +12,7 @@ from geogate.optimize import (
     J1_MAX,
     OptimizationProblem,
     OptimizationResult,
+    _nelder_mead,
     invert_bessel_j1,
     objective,
     optimize,
@@ -270,3 +273,119 @@ class TestOptimize:
         text = path.read_text().splitlines()
         assert text[0] == "gate,a1,a2,a3,tau_ns"
         assert text[1].startswith("pi8,0.1,-0.02,0,17.5")
+
+
+def scipy_nelder_mead(f, x0, maxfev, xatol=1e-6, fatol=1e-9):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return minimize(f, x0, method="Nelder-Mead",
+                        options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+
+
+def both_simplexes(f, x0, maxfev, xatol=1e-6, fatol=1e-9):
+    """The points each Nelder-Mead asked for, and what each returned."""
+    ported, reference = [], []
+
+    def spy(calls):
+        def g(x):
+            calls.append(x.tolist())
+            return f(x)
+        return g
+
+    x, fun = _nelder_mead(spy(ported), x0, maxfev, xatol, fatol)
+    res = scipy_nelder_mead(spy(reference), x0, maxfev, xatol, fatol)
+    return ported, reference, (x.tolist(), float(fun)), (res.x.tolist(), float(res.fun))
+
+
+def only_the_origin(x):
+    """0 at the origin, 1 elsewhere: every contraction fails, so the simplex shrinks."""
+    return 0.0 if not np.any(x) else 1.0
+
+
+class TestNelderMeadPort:
+    """``_nelder_mead`` calls ``f`` on the points scipy's Nelder-Mead does."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("gate", ["pi8", "hadamard"])
+    def test_seeded_objectives(self, gate, n):
+        rng = np.random.default_rng([n, len(gate)])
+        f = lambda x: objective(x, CATALOG[gate], DEFAULT_BUDGET, grid_points=1001)
+        for x0 in [np.zeros(n)] + [rng.uniform(-0.1, 0.1, n) for _ in range(3)]:
+            ported, reference, got, want = both_simplexes(f, x0, 150)
+            assert ported == reference
+            assert got == want
+
+    @pytest.mark.parametrize("maxfev", [1, 2, 3, 4])
+    def test_budget_smaller_than_the_first_simplex(self, maxfev):
+        f = lambda x: objective(x, CATALOG["pi8"], DEFAULT_BUDGET, grid_points=1001)
+        ported, reference, got, want = both_simplexes(f, np.array([0.05, 0.0, -0.02]), maxfev)
+        assert len(ported) == maxfev
+        assert ported == reference
+        assert got == want
+
+    def test_every_vertex_rejected(self):
+        ported, reference, got, want = both_simplexes(lambda x: math.inf,
+                                                      np.array([0.3, 0.0, -0.3]), 40)
+        assert len(ported) == 40
+        assert ported == reference
+        assert got == want and got[1] == math.inf
+
+    def test_quadratic_stops_on_tolerance(self):
+        f = lambda x: float(np.sum((x - np.array([0.3, -0.1])) ** 2))
+        ported, reference, got, want = both_simplexes(f, np.array([1.0, -2.0]), 5000)
+        assert len(ported) < 5000
+        assert ported == reference
+        assert got == want
+        assert got[0] == pytest.approx([0.3, -0.1], abs=1e-5)
+
+    def test_objective_may_write_to_its_argument(self):
+        def scribbling(x):
+            value = float(np.sum((x - 0.3) ** 2))
+            x[:] = 1e3
+            return value
+
+        ported, reference, got, want = both_simplexes(scribbling, np.array([1.0, -2.0]), 300)
+        assert ported == reference
+        assert got == want
+
+    @pytest.mark.parametrize("x0", [[0.0], [0.0, 0.0]])
+    def test_plateau_ties(self, x0):
+        # 0 up to a step, 1 beyond it: trial values tie with the vertices they test
+        ported, reference, got, want = both_simplexes(
+            lambda x: float(np.sum(x) > 1e-4), np.array(x0), 60)
+        assert ported == reference
+        assert got == want
+
+    def test_nan_vertex_is_the_returned_value(self):
+        ported, reference, got, want = both_simplexes(
+            lambda x: 1.0 if x[0] == 0.0 else math.nan, np.array([0.0]), 2)
+        assert ported == reference
+        assert got[0] == want[0] == [0.0]
+        assert math.isnan(got[1]) and math.isnan(want[1])
+
+    @pytest.mark.parametrize("x0", [[0.0], [0.0, 0.0]])
+    def test_shrink(self, x0):
+        ported, reference, got, want = both_simplexes(only_the_origin, np.array(x0), 30)
+        # the first reflection and inside contraction fail, so the next n calls
+        # are the first simplex shrunk by half toward the origin
+        n = len(x0)
+        shrunk = [[0.5 * v for v in vertex] for vertex in ported[1:n + 1]]
+        assert sorted(ported[n + 3:2 * n + 3]) == sorted(shrunk)
+        assert ported == reference
+        assert got == want == (x0, 0.0)
+
+    @pytest.mark.parametrize("gate, seed", [("pi8", 3), ("hadamard", 7)])
+    def test_optimize_end_to_end(self, gate, seed, monkeypatch):
+        problem = OptimizationProblem(CATALOG[gate], DEFAULT_BUDGET, grid_points=1001)
+        got = optimize(problem, seed=seed, n_starts=4, max_evals_per_start=120)
+
+        def on_scipy(f, x0, maxfev, xatol, fatol):
+            res = scipy_nelder_mead(f, x0, maxfev, xatol, fatol)
+            return res.x, res.fun
+
+        monkeypatch.setitem(optimize.__globals__, "_nelder_mead", on_scipy)
+        want = optimize(problem, seed=seed, n_starts=4, max_evals_per_start=120)
+        assert len(got.history) == 1 + 4 * 120
+        assert got.history == want.history
+        assert (got.coeffs, got.tau, got.baseline_tau) == (want.coeffs, want.tau,
+                                                           want.baseline_tau)
