@@ -394,7 +394,7 @@ class TestErrors:
 
 
 class TestStartup:
-    def test_synth_simulate_scan_optimize_never_load_scipy(self, tmp_path):
+    def test_synth_simulate_scan_never_load_scipy(self, tmp_path):
         sim = write_config(tmp_path, "sim.json", {
             "gate": "pi8", "omega0_mhz": 30.0, "gamma_khz": 3.0, "kappa_khz": 3.0,
             "dt_ns": 0.05, "out_dir": str(tmp_path / "sim"),
