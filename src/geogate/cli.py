@@ -61,11 +61,14 @@ def load_config(path) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: a config must be a JSON object, got {json.dumps(config)}")
+    return config
 
 
 def config_hash(config: dict) -> str:
@@ -101,28 +104,51 @@ def write_manifest(out_dir, command, config, seed, outputs):
     return path
 
 
+def _typed(config, key, default, kind, accepts):
+    """``config[key]`` (``default`` when absent), which ``accepts`` must pass."""
+    value = config.get(key, default)
+    if not accepts(value):
+        raise ConfigError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(config, key, default) -> float:
-    """``config[key]`` (``default`` when absent), which must be a JSON number."""
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a number, got {json.dumps(value)}")
-    return float(value)
+    return float(_typed(config, key, default, "a number", _is_number))
 
 
-def _integer(config, key, default) -> int:
-    """``config[key]`` (``default`` when absent), which must be a JSON integer."""
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config key {key!r} must be an integer, got {json.dumps(value)}")
+def _integer(config, key, default, minimum=None) -> int:
+    value = _typed(config, key, default, "an integer",
+                   lambda v: isinstance(v, int) and not isinstance(v, bool))
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"config key {key!r} must be at least {minimum}, got {value}")
     return value
 
 
 def _flag(config, key, default) -> bool:
-    """``config[key]`` (``default`` when absent), which must be true or false."""
-    value = config.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"config key {key!r} must be true or false, got {json.dumps(value)}")
-    return value
+    return _typed(config, key, default, "true or false", lambda v: isinstance(v, bool))
+
+
+def _string(config, key, default) -> str:
+    return _typed(config, key, default, "a string", lambda v: isinstance(v, str))
+
+
+def _strings(config, key, default) -> list:
+    return _typed(config, key, default, "a list of strings",
+                  lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
+
+
+def _numbers(config, key, default) -> tuple:
+    return tuple(float(x) for x in _typed(
+        config, key, default, "a list of numbers",
+        lambda v: isinstance(v, list) and all(map(_is_number, v))))
+
+
+def _block(config, key) -> dict:
+    return _typed(config, key, {}, "an object", lambda v: isinstance(v, dict))
 
 
 def _budget(config, args) -> AmplitudeBudget:
@@ -137,15 +163,15 @@ def _rates(config) -> DecoherenceRates:
 
 
 def _coeffs(config, args):
+    coeffs = _numbers(config, "coeffs", [])
     if getattr(args, "coeffs", None):
         return tuple(float(c) for c in args.coeffs.split(","))
-    if config.get("coeffs"):
-        return tuple(float(c) for c in config["coeffs"])
-    return ()
+    return coeffs
 
 
 def _gate_name(config, args) -> str:
-    name = getattr(args, "gate", None) or config.get("gate")
+    name = _string(config, "gate", "")
+    name = getattr(args, "gate", None) or name
     if not name:
         raise ConfigError("no gate selected (flag --gate or config key 'gate')")
     return name
@@ -158,7 +184,8 @@ def _dt(config, args, default=0.001) -> float:
 
 
 def _out_dir(config, args) -> str:
-    return getattr(args, "out", None) or config.get("out_dir", ".")
+    out_dir = _string(config, "out_dir", ".")
+    return getattr(args, "out", None) or out_dir
 
 
 def cmd_synth(args) -> int:
@@ -169,11 +196,11 @@ def cmd_synth(args) -> int:
     coeffs = _coeffs(config, args)
     grid = _integer(config, "grid_points", 4001)
     drag = _flag(config, "drag", False) or args.drag
+    out_dir = _out_dir(config, args)
     pulse = synthesize(spec, default_schedule(spec, coeffs), budget, grid)
     if drag:
         anh = _number(config, "anharmonicity_mhz", 220.0) * MHZ
         pulse = drag_correct(pulse, anh)
-    out_dir = _out_dir(config, args)
     os.makedirs(out_dir, exist_ok=True)
     out = os.path.join(out_dir, f"pulse_{gate}.csv")
     pulse.to_csv(out)
@@ -188,26 +215,28 @@ def cmd_simulate(args) -> int:
     gate = _gate_name(config, args)
     spec = CATALOG[gate]
     budget = _budget(config, args)
-    model = args.model or config.get("model", "three_level")
+    model = _string(config, "model", "three_level")
+    model = args.model or model
     rates = _rates(config)
     err = ErrorFractions(epsilon=_number(config, "epsilon", 0.0),
                          delta=_number(config, "delta", 0.0))
     dt = _dt(config, args)
     anh = _number(config, "anharmonicity_mhz", 220.0) * MHZ
     grid = _integer(config, "grid_points", 4001)
-    stride = _integer(config, "record_stride", 20)
+    stride = _integer(config, "record_stride", 20, minimum=1)
     drag = _flag(config, "drag", True)
-    pulse = synthesize(spec, default_schedule(spec, _coeffs(config, args)), budget, grid)
+    coeffs = _coeffs(config, args)
+    out_dir = _out_dir(config, args)
+    pulse = synthesize(spec, default_schedule(spec, coeffs), budget, grid)
     if model == "three_level" and drag:
         pulse = drag_correct(pulse, anh)
-        if _coeffs(config, args):
+        if coeffs:
             print("note: reshaped schedules pair poorly with the leakage correction")
     defaults = {"pi8": [1.0, 1.0], "phase": [1.0, 1.0], "hadamard": [1.0, 0.0]}
     ket0 = config.get("initial_state", defaults.get(gate, [1.0, 0.0]))
     trace = fidelity_dynamics(pulse, ket0, model=model, anharmonicity=anh,
                               rates=rates, err=err, dt=dt, record_stride=stride)
     fid = trace.gate_fidelity(target_unitary(spec))
-    out_dir = _out_dir(config, args)
     os.makedirs(out_dir, exist_ok=True)
     out = os.path.join(out_dir, f"trace_{gate}_{model}.csv")
     trace.to_csv(out)
@@ -221,19 +250,19 @@ def cmd_simulate(args) -> int:
 def cmd_scan(args) -> int:
     config = load_config(args.config)
     gate = _gate_name(config, args)
-    scan_cfg = config.get("scan", {})
-    axes = scan_cfg.get("axes", [scan_cfg.get("axis", "epsilon")])
-    n_points = _integer(scan_cfg, "points", 41)
+    scan_cfg = _block(config, "scan")
+    axes = _strings(scan_cfg, "axes", [_string(scan_cfg, "axis", "epsilon")])
+    n_points = _integer(scan_cfg, "points", 41, minimum=1)
     lo, hi = _number(scan_cfg, "min", -0.1), _number(scan_cfg, "max", 0.1)
-    include = tuple(scan_cfg.get("variants", ("geometric", "geometric_po", "dynamical")))
-    style = scan_cfg.get("comparator_style", "canonical")
+    include = tuple(_strings(scan_cfg, "variants", ["geometric", "geometric_po", "dynamical"]))
+    style = _string(scan_cfg, "comparator_style", "canonical")
     rates = _rates(config)
+    dt = _dt(config, args, default=0.01)
+    out_dir = _out_dir(config, args)
     variants = gate_variants(gate, _budget(config, args), include, style)
     values = np.linspace(lo, hi, n_points)
     # every axis is scanned before any file is written, so a bad axis leaves no output
-    scans = [robustness_scan(variants, axis, values, rates=rates,
-                             dt=_dt(config, args, default=0.01)) for axis in axes]
-    out_dir = _out_dir(config, args)
+    scans = [robustness_scan(variants, axis, values, rates=rates, dt=dt) for axis in axes]
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
     i0 = int(np.argmin(np.abs(values)))  # the grid point nearest zero error
@@ -252,20 +281,21 @@ def cmd_scan(args) -> int:
 
 def cmd_two_qubit(args) -> int:
     config = load_config(args.config)
-    tq = config.get("two_qubit", {})
+    tq = _block(config, "two_qubit")
     params = TransmonParams(g=_number(tq, "g_mhz", 10.0) * MHZ,
                             Delta=_number(tq, "delta_mhz", 500.0) * MHZ,
                             anh_a=_number(tq, "anh_a_mhz", 220.0) * MHZ,
                             anh_b=_number(tq, "anh_b_mhz", 200.0) * MHZ)
     budget = AmplitudeBudget(_number(tq, "gprime_max_mhz", 15.0) * MHZ)
     gamma_prime = _number(tq, "gamma_g_prime_over_pi", 0.25) * math.pi
-    coeffs = tuple(tq.get("coeffs", TWO_QUBIT_COEFFS))
-    model = args.model or tq.get("model", "full")
+    coeffs = _numbers(tq, "coeffs", list(TWO_QUBIT_COEFFS))
+    model = _string(tq, "model", "full")
+    model = args.model or model
     rates = _rates(config)
     check_two_qubit_model(model, rates)
     dt = _dt(config, args)
     grid = _integer(config, "grid_points", 4001)
-    stride = _integer(config, "record_stride", 200)
+    stride = _integer(config, "record_stride", 200, minimum=1)
     out_dir = _out_dir(config, args)
     if gamma_prime == 0.0:
         # a zero phase is the identity gate: no drive, nothing to evolve
@@ -307,15 +337,15 @@ def cmd_optimize(args) -> int:
     seed = _integer(config, "seed", 0)
     if args.seed is not None:
         seed = args.seed
-    opt_cfg = config.get("optimize", {})
+    opt_cfg = _block(config, "optimize")
     problem = OptimizationProblem(CATALOG[gate], budget,
                                   bound=_number(opt_cfg, "bound", 0.2),
                                   monotone=_flag(opt_cfg, "monotone", True),
                                   grid_points=_integer(config, "grid_points", 4001))
-    result = optimize(problem, seed=seed,
-                      n_starts=_integer(opt_cfg, "starts", 16),
-                      max_evals_per_start=_integer(opt_cfg, "evals_per_start", 500))
+    n_starts = _integer(opt_cfg, "starts", 16)
+    max_evals = _integer(opt_cfg, "evals_per_start", 500)
     out_dir = _out_dir(config, args)
+    result = optimize(problem, seed=seed, n_starts=n_starts, max_evals_per_start=max_evals)
     os.makedirs(out_dir, exist_ok=True)
     out = os.path.join(out_dir, f"optimize_{gate}.csv")
     result.to_csv(out, gate_name=gate)

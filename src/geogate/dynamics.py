@@ -22,12 +22,8 @@ Six levels of the coupled pair are exact, not a truncation.  Every
 exchange term of its Hamiltonian (|10><01|, |11><02|, |20><11|) conserves
 the excitation number N = k_a + k_b, decay lowers N and dephasing is
 diagonal, so no input with N <= 2 (the computational states among them)
-ever reaches |12>, |21> or |22>.  The same terms conserve
-K = N(i) - N(j) on |i><j| (a weak symmetry of the Liouvillian).  The
-Hermitian basis element of index (i, j) (see "Integrator") spans |i><j|
-and |j><i|, so it carries |K|, and the 36 Hermitian coordinates split
-exactly into closed sectors of 14, 16 and 6 for |K| = 0, 1, 2;
-``two_qubit_channel`` evolves each computational input in its sector.
+ever reaches |12>, |21> or |22>.  The same terms conserve K = N(i) - N(j)
+on |i><j|, and ``evolve_lindblad`` finds the closed |K| sectors itself.
 
 Drive convention and error model (one source: ``_drive_hamiltonian``).  In
 the frame rotating at the drive frequency a ``DrivePulse`` with detuning
@@ -56,13 +52,14 @@ keeps Hermiticity, becomes a real d^2 x d^2 matrix (the coherence-vector
 form; Alicki and Lendi, Quantum Dynamical Semigroups and Applications,
 1987): A = D + sum_nu h_nu C_nu, with h_nu = Tr(B_nu H) and C_nu the
 generator of -i [B_nu, rho], cached per d, and the dissipator D built once
-per call.  Complex inputs such as |a><b| evolve as their real and
-imaginary coordinate columns.  Generators are built per chunk of steps
-under a fixed byte budget.  The formula applied to the identity gives
-every step map of a chunk at once, held as its difference from the
-identity; a pairwise tree product composes them and the product acts on
-the states.  Chunks hold whole record intervals, so recorded states come
-from running products of the interval maps.
+per call.  Each closed sector of A on the sampled grid (``_sectors``)
+evolves under its block of A.  Complex inputs such as |a><b| evolve as
+their real and imaginary coordinate columns.  Generators are built per
+chunk of steps under a fixed byte budget.  The formula applied to the
+identity gives every step map of a chunk at once, held as its difference
+from the identity; a pairwise tree product composes them and the product
+acts on the states.  Chunks hold whole record intervals, so recorded
+states come from running products of the interval maps.
 """
 
 from __future__ import annotations
@@ -399,15 +396,14 @@ def _interval_maps(E, stride):
     return P
 
 
-def _evolve(hamiltonian, y0, t_span, dt, record_stride, generator):
-    """Fixed-step RK4 of y' = A(t) y, A = generator(H), on the half-step grid.
+def _evolve(grid, H, y0, record_stride, generator):
+    """Fixed-step RK4 of y' = A(t) y, A = generator(H), H sampled on ``grid``.
 
     States lie on the last axis of ``y0``; its other axes broadcast against
     the batch axes of the Hamiltonian samples.  Under a real generator a
     complex state evolves as two real columns, its real and imaginary parts.
     """
-    ts, n_steps, h = _half_step_grid(t_span, dt)
-    H = np.asarray(hamiltonian(ts))
+    ts, n_steps, h = grid
     hb = H.shape[1:-2]
     batch = np.broadcast_shapes(hb, np.shape(y0)[:-1])
     H = H.reshape(H.shape[:1] + (1,) * (len(batch) - len(hb)) + H.shape[1:])
@@ -476,29 +472,25 @@ def _commutator_generators(d):
     return C
 
 
-def _liouvillian(collapse, d, keep=None):
-    """Generator builder of the master equation in Hermitian coordinates.
-
-    A Lindblad generator keeps Hermiticity, so in the basis of
-    ``_hermitian_basis`` it is real: A(t) = D + sum_nu h_nu(t) C[nu], with
-    h = Re(T vec H) the coordinates of H and D the dissipator, built once.
-    ``keep`` (sorted basis indices, all by default) restricts the generator
-    to a set that it maps into itself, such as a |K| sector.
-    """
+def _dissipator(collapse, d):
+    """The dissipator D of ``collapse`` in Hermitian coordinates, real d^2 x d^2."""
     T = _hermitian_basis(d)
-    eye = np.eye(d)
-    D = np.zeros((d * d, d * d), dtype=complex)
+    outer, eye = np.multiply.outer, np.eye(d)
+    D = np.zeros((d,) * 4, dtype=complex)  # X kron Y is outer(X, Y) with axes 0, 2, 1, 3
     for r, L in collapse:
         L = np.asarray(L, dtype=complex)
         K = L.conj().T @ L
-        D += r * (np.kron(L, L.conj()) - 0.5 * (np.kron(K, eye) + np.kron(eye, K.T)))
-    D = (T @ D @ T.conj().T).real
-    C = _commutator_generators(d)
-    if keep is not None:
-        D, C = D[np.ix_(keep, keep)], C[:, keep][:, :, keep]
-    n = len(D)
-    D = D.ravel()
-    C = C.reshape(d * d, n * n)
+        D += r * (outer(L, L.conj()) - 0.5 * (outer(K, eye) + outer(eye, K.T)))
+    return (T @ D.transpose(0, 2, 1, 3).reshape(d * d, d * d) @ T.conj().T).real
+
+
+def _liouvillian(D, d, keep):
+    """Builder of the real generator A(t) = D + sum_nu h_nu(t) C[nu], h = Re(T vec H),
+    on the sorted basis indices ``keep`` of a closed sector (``_sectors``)."""
+    T = _hermitian_basis(d)
+    n = len(keep)
+    D = D[np.ix_(keep, keep)].ravel()
+    C = _commutator_generators(d)[:, keep][:, :, keep].reshape(d * d, n * n)
 
     def generator(H):
         h = (H.reshape(-1, d * d) @ T.T).real
@@ -509,6 +501,26 @@ def _liouvillian(collapse, d, keep=None):
     return generator
 
 
+def _sectors(H, D, d):
+    """Closed sectors of D + sum_nu h_nu C[nu] on the samples H, as sorted basis
+    indices in the order of their first: the components linked by D and by each
+    C[nu] with h_nu (of H[i, j] and H[j, i], nu = d i + j) nonzero at a sample.
+    H is read in blocks, and only the first when it links every coordinate."""
+    X = H.reshape(-1, d * d).view(float)
+    rows = max(1, _CHUNK_BYTES // X[0].nbytes)
+    for stop in (rows, len(X)):
+        on = sum(np.ones(len(X[k:k + rows])) @ np.abs(X[k:k + rows]) for k in range(0, stop, rows))
+        on = on.reshape(d, d, 2).any(axis=2)
+        link = (D != 0) | (_commutator_generators(d)[(on | on.T).ravel()] != 0).any(axis=0)
+        reach = (link | link.T | np.eye(d * d, dtype=bool)).astype(float)
+        while not np.array_equal(grown := (reach @ reach > 0).astype(float), reach):
+            reach = grown  # squaring doubles the path lengths covered
+        first = reach.argmax(axis=1)  # the smallest index in each coordinate's sector
+        if not first.any():
+            break
+    return [np.flatnonzero(first == k) for k in np.flatnonzero(first == np.arange(d * d))]
+
+
 def evolve_lindblad(hamiltonian, rho0, collapse=(), t_span=None, dt=DEFAULT_DT,
                     record_stride: int | None = None) -> EvolutionResult:
     """Fixed-step RK4 integration of the master equation.
@@ -516,46 +528,28 @@ def evolve_lindblad(hamiltonian, rho0, collapse=(), t_span=None, dt=DEFAULT_DT,
     ``rho0`` may carry leading batch axes; ``hamiltonian(ts)`` may return
     matching batch axes (broadcast rules apply).  ``collapse`` is a list of
     (rate, operator) pairs entering as (rate/2) * (2 L rho L+ - {L+L, rho}).
+    The Hamiltonian is sampled once; each closed sector evolves on its own.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[-1]
     T = _hermitian_basis(d)
     coords = rho0.reshape(rho0.shape[:-2] + (d * d,)) @ T.T
-    result = _evolve(hamiltonian, coords, t_span, dt, record_stride, _liouvillian(collapse, d))
-    result.states = (result.states @ T.conj()).reshape(result.states.shape[:-1] + (d, d))
-    return result
-
-
-def two_qubit_channel(params: TransmonParams, drive: TwoQubitDrive,
-                      rates: DecoherenceRates, dt: float = DEFAULT_DT) -> np.ndarray:
-    """E(|a><b|) of the coupled pair for a, b in ``COMPUTATIONAL_IDX``, index 4 a + b.
-
-    Each |K| sector of the Hermitian coordinates is closed (module
-    docstring).  Every input evolves in its own sector, the sectors one at
-    a time, all on one Hamiltonian grid sampled here.
-    """
-    d = len(LEVELS)
-    t_span = (0.0, drive.tau)
-    H = two_qubit_full_hamiltonian(params, drive)(_half_step_grid(t_span, dt)[0])
-    T = _hermitian_basis(d)
-    N = np.sum(LEVELS, axis=1)
-    K = np.abs(np.subtract.outer(N, N)).ravel()  # |K| of the basis index d i + j
-    comp = np.array(COMPUTATIONAL_IDX)
-    inputs = np.add.outer(d * comp, comp).ravel()  # vec index of |a><b|
-    out = np.empty((len(inputs), d * d), dtype=complex)
-    collapse = two_qubit_collapse(rates)
-    for k in range(K.max() + 1):
-        keep, mine = np.flatnonzero(K == k), np.flatnonzero(K[inputs] == k)
-        coords = _evolve(lambda ts: H, T[np.ix_(keep, inputs[mine])].T, t_span, dt, None,
-                         _liouvillian(collapse, d, keep)).final
-        out[mine] = coords @ T[keep].conj()
-    return out.reshape(-1, d, d)
+    grid = _half_step_grid(t_span, dt)
+    H = np.asarray(hamiltonian(grid[0]), dtype=complex)
+    D = _dissipator(collapse, d)
+    sectors = _sectors(H, D, d)
+    parts = [_evolve(grid, H, coords[..., keep], record_stride, _liouvillian(D, d, keep))
+             for keep in sectors]
+    states = np.concatenate([p.states for p in parts], axis=-1) @ T.conj()[np.concatenate(sectors)]
+    parts[0].states = states.reshape(states.shape[:-1] + (d, d))
+    return parts[0]
 
 
 def evolve_schrodinger(hamiltonian, psi0, t_span, dt=DEFAULT_DT,
                        record_stride: int | None = None) -> EvolutionResult:
     """Fixed-step RK4 for kets (last axis is the state index)."""
-    return _evolve(hamiltonian, psi0, t_span, dt, record_stride, lambda H: -1j * H)
+    grid = _half_step_grid(t_span, dt)
+    return _evolve(grid, np.asarray(hamiltonian(grid[0])), psi0, record_stride, lambda H: -1j * H)
 
 
 def propagator(hamiltonian, dim, t_span, dt=DEFAULT_DT) -> np.ndarray:

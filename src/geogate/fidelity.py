@@ -6,8 +6,7 @@ over initial states cos(theta)|0> + sin(theta)|1> with theta uniform on
 states.
 
 One reduction serves every fidelity.  The computational-basis matrices
-|a><b| evolve once (for the coupled pair, each in its |K| sector of the
-Hermitian coordinates, under a real generator); by linearity the
+|a><b| evolve once, in one ``evolve_lindblad`` call; by linearity the
 fidelity of every input is a degree-4 polynomial in
 k = (cos theta, sin theta), so its average is an exact contraction with
 the equatorial moments E[c^4] = E[s^4] = 3/8, E[c^2 s^2] = 1/8
@@ -50,7 +49,8 @@ from .dynamics import (
     qubit_collapse,
     subspace_frame_unitary,
     two_level_hamiltonian,
-    two_qubit_channel,
+    two_qubit_collapse,
+    two_qubit_full_hamiltonian,
 )
 from .pulses import (
     CATALOG,
@@ -170,8 +170,11 @@ def average_gate_fidelity_2q(params: TransmonParams, drive: TwoQubitDrive,
         evolved = V @ _channel_basis(idx, 4) @ V.conj().T
         return float(_average_fidelity(evolved, target, idx))
 
+    evolved = evolve_lindblad(two_qubit_full_hamiltonian(params, drive),
+                              _channel_basis(COMPUTATIONAL_IDX, 6),
+                              two_qubit_collapse(rates), (0.0, drive.tau), dt).final
     U = subspace_frame_unitary(drive)
-    evolved = U.conj().T @ two_qubit_channel(params, drive, rates, dt) @ U
+    evolved = U.conj().T @ evolved @ U
     return float(_average_fidelity(evolved, target, COMPUTATIONAL_IDX))
 
 
@@ -266,6 +269,8 @@ def robustness_scan(variants: dict, axis: str, values=None,
     if values is None:
         values = np.linspace(-0.1, 0.1, 41)
     values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError("a robustness scan needs at least one error value")
     _warn_if_out_of_range(values)
     rates = rates or DecoherenceRates()
     fidelities = {name: _scan_variant(pulse, target, axis, values, rates, dt)

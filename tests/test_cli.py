@@ -303,6 +303,25 @@ MISTYPED = [
      "true or false"),
     ("synth", {"gate": "pi8", "drag": "true"}, "drag", "true or false"),
     ("simulate", {"gate": "pi8", "model": "two_level", "drag": 1}, "drag", "true or false"),
+    ("scan", {"gate": "pi8", "scan": 5}, "scan", "an object"),
+    ("optimize", {"gate": "pi8", "optimize": [16]}, "optimize", "an object"),
+    ("two-qubit", {"two_qubit": "full"}, "two_qubit", "an object"),
+    ("synth", {"gate": "pi8", "coeffs": 0.1}, "coeffs", "a list of numbers"),
+    ("simulate", {"gate": "pi8", "coeffs": [0.1, "0.2"]}, "coeffs", "a list of numbers"),
+    ("two-qubit", {"two_qubit": {"coeffs": 0.1}}, "coeffs", "a list of numbers"),
+    ("scan", {"gate": "pi8", "scan": {"axes": "epsilon"}}, "axes", "a list of strings"),
+    ("scan", {"gate": "pi8", "scan": {"variants": "geometric"}}, "variants",
+     "a list of strings"),
+    ("scan", {"gate": "pi8", "scan": {"comparator_style": 1}}, "comparator_style", "a string"),
+    ("synth", {"gate": 8}, "gate", "a string"),
+    ("simulate", {"gate": "pi8", "model": ["two_level"]}, "model", "a string"),
+    ("two-qubit", {"two_qubit": {"model": None}}, "model", "a string"),
+]
+
+OUT_OF_RANGE = [
+    ("scan", {"gate": "pi8", "dt_ns": 0.05, "scan": {"points": 0}}, "points"),
+    ("simulate", {"gate": "pi8", "dt_ns": 0.05, "record_stride": 0}, "record_stride"),
+    ("two-qubit", {"dt_ns": 0.05, "record_stride": 0}, "record_stride"),
 ]
 
 
@@ -383,6 +402,30 @@ class TestErrors:
         assert payload["type"] == "ConfigError"
         assert payload["message"].startswith(f"config key {key!r} must be {kind}, got ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, payload, key", OUT_OF_RANGE,
+                             ids=[f"{c[0]}-{c[2]}" for c in OUT_OF_RANGE])
+    def test_out_of_range_value_names_the_key(self, tmp_path, capsys, command, payload, key):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "range.json", {**payload, "out_dir": str(out)})
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        payload = json.loads(err[0][len("error: "):])
+        assert payload["type"] == "ConfigError"
+        assert payload["message"] == f"config key {key!r} must be at least 1, got 0"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "simulate", "scan", "two-qubit", "optimize"])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "list.json", [1, 2])
+        assert main([command, "--config", cfg, "--gate", "pi8"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        payload = json.loads(err[0][len("error: "):])
+        assert payload["type"] == "ConfigError"
+        assert payload["message"] == f"{cfg}: a config must be a JSON object, got [1, 2]"
+        assert os.listdir(tmp_path) == ["list.json"]
 
     def test_seed_flag_does_not_hide_a_mistyped_config_seed(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -693,7 +693,7 @@ class TestHermitianCoordinates:
         H = np.stack([random_hermitian(rng, d) for _ in range(3)])
         collapse = collapse_set(d, kind)
         T = reference_hermitian_basis(d).conj().reshape(d * d, d * d)
-        A = dynamics._liouvillian(collapse, d)(H)
+        A = dynamics._liouvillian(dynamics._dissipator(collapse, d), d, np.arange(d * d))(H)
         assert A.shape == (3, d * d, d * d) and A.dtype == np.float64
         for Hk, Ak in zip(H, A):
             rotated = T @ vec_liouvillian(Hk, collapse) @ T.conj().T
@@ -702,6 +702,16 @@ class TestHermitianCoordinates:
         # the coordinates of the identity are a left null vector: trace is kept
         identity = (T @ np.eye(d).ravel()).real
         assert np.abs(identity @ A).max() <= 1e-15
+
+    @pytest.mark.parametrize("d, kind", COLLAPSE_SETS)
+    def test_dissipator_is_the_rotated_kron_form_bit_for_bit(self, d, kind):
+        T, eye = dynamics._hermitian_basis(d), np.eye(d)
+        D = np.zeros((d * d, d * d), dtype=complex)
+        for r, L in collapse_set(d, kind):
+            K = L.conj().T @ L
+            D += r * (np.kron(L, L.conj()) - 0.5 * (np.kron(K, eye) + np.kron(eye, K.T)))
+        assert np.array_equal(dynamics._dissipator(collapse_set(d, kind), d),
+                              (T @ D @ T.conj().T).real)
 
     @pytest.mark.parametrize("d, kind", COLLAPSE_SETS)
     def test_hermitian_state_has_real_coordinates_at_every_record(self, d, kind):
@@ -732,14 +742,15 @@ def excitation_sectors():
 class TestExcitationSectors:
     """The coupled pair's real generator splits exactly by |K|, K = N(ket) - N(bra)."""
 
-    def criterion_7_generator(self):
+    def criterion_7_generator(self, rates=STRONG):
         params, drive = two_qubit_drive(grid_points=4001)
         ts = _half_step_grid((0.0, drive.tau), 0.02)[0]
         H = two_qubit_full_hamiltonian(params, drive)(ts)
-        return H, dynamics._liouvillian(two_qubit_collapse(STRONG), 6)(H)
+        D = dynamics._dissipator(two_qubit_collapse(rates), 6)
+        return H, D, dynamics._liouvillian(D, 6, np.arange(36))(H)
 
     def test_no_entries_across_sectors(self):
-        _, A = self.criterion_7_generator()
+        _, _, A = self.criterion_7_generator()
         K = excitation_sectors()
         assert len(two_qubit_collapse(STRONG)) == 4
         assert A.dtype == np.float64
@@ -747,24 +758,106 @@ class TestExcitationSectors:
         assert np.abs(A[:, K[:, None] == K[None, :]]).max() > 0.0
         assert [int(np.sum(K == k)) for k in range(3)] == [14, 16, 6]
 
+    def test_found_sectors_are_the_k_sets(self):
+        H, D, _ = self.criterion_7_generator()
+        K = excitation_sectors()
+        found = dynamics._sectors(H, D, 6)
+        assert [len(keep) for keep in found] == [14, 16, 6]
+        for k, keep in enumerate(found):
+            assert np.array_equal(keep, np.flatnonzero(K == k))
+
     def test_sector_generator_is_the_sliced_one(self):
-        H, A = self.criterion_7_generator()
+        H, D, A = self.criterion_7_generator()
         K = excitation_sectors()
         for k in range(3):
             keep = np.flatnonzero(K == k)
-            block = dynamics._liouvillian(two_qubit_collapse(STRONG), 6, keep)(H)
+            block = dynamics._liouvillian(D, 6, keep)(H)
             assert np.array_equal(block, A[:, keep][:, :, keep])
 
     def test_sector_channel_matches_the_full_vec_space(self):
-        # every one of the 16 evolved |a><b|, each in its own |K| sector,
-        # against one run of all 36 coordinates
+        # the 16 evolved |a><b|, sector by sector, against one unsplit run of
+        # all 36 coordinates under the full generator, with and without rates
         params, drive = two_qubit_drive(grid_points=4001)
         basis = np.zeros((16, 6, 6), dtype=complex)
         for n, (a, b) in enumerate((a, b) for a in COMPUTATIONAL_IDX for b in COMPUTATIONAL_IDX):
             basis[n, a, b] = 1.0
-        ref = evolve_lindblad(two_qubit_full_hamiltonian(params, drive), basis,
-                              two_qubit_collapse(STRONG), (0.0, drive.tau), 0.02).final
-        got = dynamics.two_qubit_channel(params, drive, STRONG, 0.02)
-        assert got.shape == (16, 6, 6)
-        assert np.abs(got - ref).max() <= 1e-12
-        assert np.abs(ref - basis).max() > 1e-2
+        sampler = two_qubit_full_hamiltonian(params, drive)
+        grid = _half_step_grid((0.0, drive.tau), 0.02)
+        T = dynamics._hermitian_basis(6)
+        for rates in (STRONG, DecoherenceRates()):
+            collapse = two_qubit_collapse(rates)
+            full = dynamics._liouvillian(dynamics._dissipator(collapse, 6), 6, np.arange(36))
+            ref = dynamics._evolve(grid, sampler(grid[0]), basis.reshape(16, 36) @ T.T, None,
+                                   full).final
+            ref = (ref @ T.conj()).reshape(16, 6, 6)
+            got = evolve_lindblad(sampler, basis, collapse, (0.0, drive.tau), 0.02).final
+            assert got.shape == (16, 6, 6)
+            assert np.abs(got - ref).max() <= 1e-12
+            assert np.abs(ref - basis).max() > 1e-2
+
+
+def drive_samples(d, batched=False):
+    """The pi/8 drive on the grid of its 10 ps steps: qubit (d = 2) or transmon
+    (d = 3), with a point axis of eleven amplitude errors when batched."""
+    pulse = drag_correct(synthesize(CATALOG["pi8"]), ANH) if d == 3 else synthesize(CATALOG["pi8"])
+    ts = _half_step_grid((0.0, pulse.tau), 0.01)[0]
+    epsilon = np.linspace(-0.1, 0.1, 11) if batched else 0.0
+    H = _drive_hamiltonian(pulse, ts, epsilon, anharmonicity=ANH if d == 3 else None)
+    return H[..., None, :, :] if batched else H
+
+
+def coupled_samples():
+    params, drive = two_qubit_drive()
+    return two_qubit_full_hamiltonian(params, drive)(_half_step_grid((0.0, drive.tau), 0.02)[0])
+
+
+SECTOR_MODELS = {
+    "qubit": lambda: drive_samples(2),
+    "transmon": lambda: drive_samples(3),
+    "scan_batch": lambda: drive_samples(2, batched=True),
+    "coupled": coupled_samples,
+}
+
+
+def model_collapse(H, rates):
+    d = H.shape[-1]
+    return two_qubit_collapse(rates) if d == 6 else qubit_collapse(rates, d)
+
+
+class TestSectors:
+    """``_sectors`` partitions the Hermitian coordinates into sets the generator keeps closed."""
+
+    @pytest.mark.parametrize("rates", [STRONG, DecoherenceRates()], ids=["strong", "closed"])
+    @pytest.mark.parametrize("model", sorted(SECTOR_MODELS))
+    def test_no_generator_entry_crosses_a_sector(self, model, rates):
+        H = SECTOR_MODELS[model]()
+        d = H.shape[-1]
+        D = dynamics._dissipator(model_collapse(H, rates), d)
+        found = dynamics._sectors(H, D, d)
+        assert np.array_equal(np.sort(np.concatenate(found)), np.arange(d * d))
+        label = np.empty(d * d, dtype=int)
+        for k, keep in enumerate(found):
+            assert np.array_equal(keep, np.sort(keep))
+            label[keep] = k
+        A = dynamics._liouvillian(D, d, np.arange(d * d))(H).reshape(-1, d * d, d * d)
+        assert np.all(A[:, label[:, None] != label[None, :]] == 0.0)
+        if model != "coupled":
+            assert len(found) == 1  # the drive links every coordinate
+
+    def test_no_hamiltonian_and_no_collapse_leaves_every_coordinate_alone(self):
+        H = zero_hamiltonian(3)(np.linspace(0.0, 1.0, 5))
+        found = dynamics._sectors(H, dynamics._dissipator([], 3), 3)
+        assert [list(keep) for keep in found] == [[k] for k in range(9)]
+
+    def test_a_coupling_after_the_first_block_joins_sectors(self):
+        # the drive starts after more samples than one block of the chunk budget holds
+        ts = np.linspace(0.0, 4.0, 8001)
+        H = np.zeros((len(ts), 2, 2), dtype=complex)
+        H[ts > 3.0, 0, 1] = H[ts > 3.0, 1, 0] = 0.5
+        rows = dynamics._CHUNK_BYTES // H[0].view(float).nbytes
+        assert np.flatnonzero(ts > 3.0)[0] > rows
+        D = dynamics._dissipator([], 2)
+        assert len(dynamics._sectors(H[ts <= 3.0], D, 2)) == 4
+        found = [list(keep) for keep in dynamics._sectors(H, D, 2)]
+        assert found == [list(keep) for keep in dynamics._sectors(H[ts > 3.0], D, 2)]
+        assert found == [[0, 1, 2, 3]]

@@ -230,6 +230,11 @@ class TestRobustnessScan:
         with pytest.raises(ValueError):
             robustness_scan({}, "sigma", np.array([0.0]))
 
+    def test_no_values(self):
+        variants = gate_variants("pi8", include=("geometric",))
+        with pytest.raises(ValueError, match="at least one error value"):
+            robustness_scan(variants, "epsilon", [])
+
 
 class TestFidelityDynamics:
     def test_starts_at_unity(self):
