@@ -34,6 +34,7 @@ from .fidelity import (
     fidelity_dynamics,
     gate_variants,
     robustness_scan,
+    VARIANTS,
 )
 from ._csv import write_csv
 from .optimize import OptimizationProblem, optimize
@@ -147,6 +148,15 @@ def _numbers(config, key, default) -> tuple:
         lambda v: isinstance(v, list) and all(map(_is_number, v))))
 
 
+def _names(config, key, known) -> tuple:
+    """One or more of the names ``known`` (all of them when the key is absent)."""
+    names = _strings(config, key, list(known))
+    if not names or not set(names) <= set(known):
+        raise ConfigError(f"config key {key!r} must name one or more of {', '.join(known)}, "
+                          f"got {json.dumps(names)}")
+    return tuple(names)
+
+
 def _block(config, key) -> dict:
     return _typed(config, key, {}, "an object", lambda v: isinstance(v, dict))
 
@@ -194,7 +204,7 @@ def cmd_synth(args) -> int:
     spec = CATALOG[gate]
     budget = _budget(config, args)
     coeffs = _coeffs(config, args)
-    grid = _integer(config, "grid_points", 4001)
+    grid = _integer(config, "grid_points", 4001, minimum=2)
     drag = _flag(config, "drag", False) or args.drag
     out_dir = _out_dir(config, args)
     pulse = synthesize(spec, default_schedule(spec, coeffs), budget, grid)
@@ -222,7 +232,7 @@ def cmd_simulate(args) -> int:
                          delta=_number(config, "delta", 0.0))
     dt = _dt(config, args)
     anh = _number(config, "anharmonicity_mhz", 220.0) * MHZ
-    grid = _integer(config, "grid_points", 4001)
+    grid = _integer(config, "grid_points", 4001, minimum=2)
     stride = _integer(config, "record_stride", 20, minimum=1)
     drag = _flag(config, "drag", True)
     coeffs = _coeffs(config, args)
@@ -254,7 +264,7 @@ def cmd_scan(args) -> int:
     axes = _strings(scan_cfg, "axes", [_string(scan_cfg, "axis", "epsilon")])
     n_points = _integer(scan_cfg, "points", 41, minimum=1)
     lo, hi = _number(scan_cfg, "min", -0.1), _number(scan_cfg, "max", 0.1)
-    include = tuple(_strings(scan_cfg, "variants", ["geometric", "geometric_po", "dynamical"]))
+    include = _names(scan_cfg, "variants", VARIANTS)
     style = _string(scan_cfg, "comparator_style", "canonical")
     rates = _rates(config)
     dt = _dt(config, args, default=0.01)
@@ -294,7 +304,7 @@ def cmd_two_qubit(args) -> int:
     rates = _rates(config)
     check_two_qubit_model(model, rates)
     dt = _dt(config, args)
-    grid = _integer(config, "grid_points", 4001)
+    grid = _integer(config, "grid_points", 4001, minimum=2)
     stride = _integer(config, "record_stride", 200, minimum=1)
     out_dir = _out_dir(config, args)
     if gamma_prime == 0.0:
@@ -337,13 +347,14 @@ def cmd_optimize(args) -> int:
     seed = _integer(config, "seed", 0)
     if args.seed is not None:
         seed = args.seed
+    grid = _integer(config, "grid_points", 4001, minimum=2)
     opt_cfg = _block(config, "optimize")
     problem = OptimizationProblem(CATALOG[gate], budget,
                                   bound=_number(opt_cfg, "bound", 0.2),
                                   monotone=_flag(opt_cfg, "monotone", True),
-                                  grid_points=_integer(config, "grid_points", 4001))
-    n_starts = _integer(opt_cfg, "starts", 16)
-    max_evals = _integer(opt_cfg, "evals_per_start", 500)
+                                  grid_points=grid)
+    n_starts = _integer(opt_cfg, "starts", 16, minimum=1)
+    max_evals = _integer(opt_cfg, "evals_per_start", 500, minimum=1)
     out_dir = _out_dir(config, args)
     result = optimize(problem, seed=seed, n_starts=n_starts, max_evals_per_start=max_evals)
     os.makedirs(out_dir, exist_ok=True)

@@ -23,7 +23,7 @@ exchange term of its Hamiltonian (|10><01|, |11><02|, |20><11|) conserves
 the excitation number N = k_a + k_b, decay lowers N and dephasing is
 diagonal, so no input with N <= 2 (the computational states among them)
 ever reaches |12>, |21> or |22>.  The same terms conserve K = N(i) - N(j)
-on |i><j|, and ``evolve_lindblad`` finds the closed |K| sectors itself.
+on |i><j|, and the integrators find the closed N and |K| sectors themselves.
 
 Drive convention and error model (one source: ``_drive_hamiltonian``).  In
 the frame rotating at the drive frequency a ``DrivePulse`` with detuning
@@ -43,18 +43,22 @@ optionally with batch axes after the time axis; the integrator evaluates
 them once on its half-step grid.  Batched states (leading batch axes)
 evolve simultaneously through numpy broadcasting.
 
-Integrator.  Both equations are linear, y' = A(t) y, so one RK4 formula
-(``_rk4_increment``) serves both: A = -iH for kets, and for density
-matrices the Liouvillian in Hermitian coordinates.  An orthonormal basis
-B of Hermitian d x d matrices (``_hermitian_basis``) gives every density
-matrix real coordinates Tr(B_nu rho), and a Lindblad generator, which
-keeps Hermiticity, becomes a real d^2 x d^2 matrix (the coherence-vector
-form; Alicki and Lendi, Quantum Dynamical Semigroups and Applications,
-1987): A = D + sum_nu h_nu C_nu, with h_nu = Tr(B_nu H) and C_nu the
-generator of -i [B_nu, rho], cached per d, and the dissipator D built once
-per call.  Each closed sector of A on the sampled grid (``_sectors``)
-evolves under its block of A.  Complex inputs such as |a><b| evolve as
-their real and imaginary coordinate columns.  Generators are built per
+Integrator.  Both equations are linear, y' = A(t) y, in real coordinates
+with a real generator A, and one RK4 formula (``_rk4_increment``) serves
+both.  A ket psi = x + i y has the coordinates (x, y) and the generator
+[[Im H, Re H], [-Re H, Im H]], which is -iH written for x and y.  A
+density matrix has the coordinates Tr(B_nu rho) in an orthonormal basis B
+of Hermitian d x d matrices (``_hermitian_basis``), and a Lindblad
+generator, which keeps Hermiticity, becomes a real d^2 x d^2 matrix (the
+coherence-vector form; Alicki and Lendi, Quantum Dynamical Semigroups and
+Applications, 1987): A = D + sum_nu h_nu C_nu, with h_nu = Tr(B_nu H) and
+C_nu the generator of -i [B_nu, rho], cached per d, and the dissipator D
+built once per call.  Each closed sector of A on the sampled grid
+(``_sectors``: levels linked by an entry of H for kets, Hermitian
+coordinates linked by D and the C_nu for density matrices) evolves under
+its block of A, and a sector whose initial coordinates are all zero stays
+zero without being evolved.  Complex coordinates such as those of |a><b|
+evolve as their real and imaginary columns.  Generators are built per
 chunk of steps under a fixed byte budget.  The formula applied to the
 identity gives every step map of a chunk at once, held as its difference
 from the identity; a pairwise tree product composes them and the product
@@ -397,43 +401,54 @@ def _interval_maps(E, stride):
 
 
 def _evolve(grid, H, y0, record_stride, generator):
-    """Fixed-step RK4 of y' = A(t) y, A = generator(H), H sampled on ``grid``.
+    """Fixed-step RK4 of y' = A(t) y under the real generator A = generator(H),
+    H sampled on ``grid``: the states at the record times, shape
+    (n_records, *batch, n), or the final state alone without a stride.
 
     States lie on the last axis of ``y0``; its other axes broadcast against
-    the batch axes of the Hamiltonian samples.  Under a real generator a
-    complex state evolves as two real columns, its real and imaginary parts.
+    the batch axes of the Hamiltonian samples.  A complex state evolves as
+    two real columns, its real and imaginary parts.
     """
     ts, n_steps, h = grid
     hb = H.shape[1:-2]
-    batch = np.broadcast_shapes(hb, np.shape(y0)[:-1])
+    batch = np.broadcast_shapes(hb, y0.shape[:-1])
     H = H.reshape(H.shape[:1] + (1,) * (len(batch) - len(hb)) + H.shape[1:])
-    dtype = generator(H[:0]).dtype  # real for density matrices, complex for kets
-    y = np.broadcast_to(np.asarray(y0), batch + np.shape(y0)[-1:])
-    split = np.iscomplexobj(y) and dtype.kind == "f"
+    y = np.broadcast_to(y0, batch + y0.shape[-1:])
+    split = np.iscomplexobj(y)
     Y = np.stack([y.real, y.imag], axis=-1) if split else y[..., None]
-    dim = y.shape[-1]
+    n = y.shape[-1]
     # chunks hold whole record intervals, or split one that exceeds the budget;
-    # a step reads two generator samples
+    # a step reads two float64 generator samples
     stride = record_stride or n_steps
-    c = max(1, _CHUNK_BYTES // (2 * dtype.itemsize * dim * dim * math.prod(hb)))
+    c = max(1, _CHUNK_BYTES // (16 * n * n * math.prod(hb)))
     c = c // stride * stride or c
     period = max(c, stride)
     starts = [k for p in range(0, n_steps, period) for k in range(p, min(p + period, n_steps), c)]
-    records, ends = [Y[None]], [0]
+    records = [Y[None]]
     for k0, k1 in zip(starts, starts[1:] + [n_steps]):
         A = generator(H[2 * k0:2 * k1 + 1])
         P = _interval_maps(_rk4_increment(A[:-1:2], A[1::2], A[2::2], h), stride)
         Ys = Y + P @ Y
         steps = k0 + np.minimum(np.arange(1, len(P) + 1) * stride, k1 - k0)
         Y = Ys[-1]
-        keep = (steps % stride == 0) | (steps == n_steps)
-        records.append(Ys[keep])
-        ends.extend(steps[keep])
+        records.append(Ys[(steps % stride == 0) | (steps == n_steps)])
     Ys = np.concatenate(records) if record_stride else Y[None]
-    Ys = Ys[..., 0] + 1j * Ys[..., 1] if split else Ys[..., 0]
-    if record_stride:
-        return EvolutionResult(ts[2 * np.array(ends)], Ys, recorded=True)
-    return EvolutionResult(np.array([ts[-1]]), Ys[0], recorded=False)
+    return Ys[..., 0] + 1j * Ys[..., 1] if split else Ys[..., 0]
+
+
+def _evolve_sectors(grid, H, coords, record_stride, sectors, generator):
+    """Each closed sector ``keep`` of the coordinates evolves on its own under
+    ``generator(keep)``; a sector whose initial coordinates are all zero is
+    not evolved and stays exactly zero.  The evolved coordinates come in the
+    order of ``np.concatenate(sectors)``."""
+    ts, n_steps, _ = grid
+    times = ts[2 * np.r_[0:n_steps:record_stride, n_steps]] if record_stride else ts[-1:]
+    shape = (len(times),) + np.broadcast_shapes(H.shape[1:-2], coords.shape[:-1])
+    parts = [_evolve(grid, H, coords[..., keep], record_stride, generator(keep))
+             if coords[..., keep].any() else np.zeros(shape + keep.shape, dtype=coords.dtype)
+             for keep in sectors]
+    states = np.concatenate(parts, axis=-1)
+    return EvolutionResult(times, states if record_stride else states[0], bool(record_stride))
 
 
 @functools.cache
@@ -486,14 +501,18 @@ def _dissipator(collapse, d):
 
 def _liouvillian(D, d, keep):
     """Builder of the real generator A(t) = D + sum_nu h_nu(t) C[nu], h = Re(T vec H),
-    on the sorted basis indices ``keep`` of a closed sector (``_sectors``)."""
+    on the sorted basis indices ``keep`` of a closed sector (``_sectors``).
+
+    h is one real product: the (real, imaginary) pairs of vec H against the
+    rows (Re T, -Im T) of each entry."""
     T = _hermitian_basis(d)
+    R = np.stack([T.real.T, -T.imag.T], axis=1).reshape(2 * d * d, d * d)
     n = len(keep)
     D = D[np.ix_(keep, keep)].ravel()
     C = _commutator_generators(d)[:, keep][:, :, keep].reshape(d * d, n * n)
 
     def generator(H):
-        h = (H.reshape(-1, d * d) @ T.T).real
+        h = H.reshape(-1, d * d).view(float) @ R
         A = h @ C
         A += D
         return A.reshape(H.shape[:-2] + (n, n))
@@ -501,24 +520,64 @@ def _liouvillian(D, d, keep):
     return generator
 
 
-def _sectors(H, D, d):
-    """Closed sectors of D + sum_nu h_nu C[nu] on the samples H, as sorted basis
-    indices in the order of their first: the components linked by D and by each
-    C[nu] with h_nu (of H[i, j] and H[j, i], nu = d i + j) nonzero at a sample.
-    H is read in blocks, and only the first when it links every coordinate."""
+def _liouvillian_link(D, d):
+    """Links of the Hermitian coordinates given the support ``on`` of H: the
+    entries of D and of each C[nu] whose h_nu (of H[i, j] and H[j, i],
+    nu = d i + j) is nonzero somewhere."""
+    C = _commutator_generators(d)
+    return lambda on: (D != 0) | (C[(on | on.T).ravel()] != 0).any(axis=0)
+
+
+def _ket_generator(d, keep):
+    """Builder of the real generator of kets psi = x + i y in the coordinates
+    (x, y): [[Im H, Re H], [-Re H, Im H]], which is -iH written for x and y,
+    on the coordinates ``keep`` (x and y of the levels of a closed sector).
+
+    Every entry reads one float of H, so the block is a gather and a sign."""
+    part, level = np.divmod(keep, d)
+    same = part[:, None] == part[None, :]
+    read = 2 * (d * level[:, None] + level[None, :]) + same  # Im H on the diagonal blocks
+    sign = np.where(part[:, None] > part[None, :], -1.0, 1.0)
+
+    def generator(H):
+        return H.reshape(H.shape[:-2] + (d * d,)).view(float)[..., read] * sign
+
+    return generator
+
+
+def _support(H, d):
+    """The entries (i, j) nonzero at some sample of H, a (d, d) boolean, once
+    after the first block of samples and once after the last; H is read in
+    blocks of the chunk budget."""
     X = H.reshape(-1, d * d).view(float)
     rows = max(1, _CHUNK_BYTES // X[0].nbytes)
-    for stop in (rows, len(X)):
-        on = sum(np.ones(len(X[k:k + rows])) @ np.abs(X[k:k + rows]) for k in range(0, stop, rows))
-        on = on.reshape(d, d, 2).any(axis=2)
-        link = (D != 0) | (_commutator_generators(d)[(on | on.T).ravel()] != 0).any(axis=0)
-        reach = (link | link.T | np.eye(d * d, dtype=bool)).astype(float)
-        while not np.array_equal(grown := (reach @ reach > 0).astype(float), reach):
-            reach = grown  # squaring doubles the path lengths covered
-        first = reach.argmax(axis=1)  # the smallest index in each coordinate's sector
+    on = np.zeros(2 * d * d)
+    for k in range(0, len(X), rows):
+        on += np.ones(len(X[k:k + rows])) @ np.abs(X[k:k + rows])
+        if k == 0 or k + rows >= len(X):
+            yield on.reshape(d, d, 2).any(axis=2)
+
+
+def _components(link):
+    """The smallest index in the connected component of each index of the
+    boolean adjacency ``link``."""
+    reach = (link | link.T | np.eye(len(link), dtype=bool)).astype(float)
+    while not np.array_equal(grown := (reach @ reach > 0).astype(float), reach):
+        reach = grown  # squaring doubles the path lengths covered
+    return reach.argmax(axis=1)
+
+
+def _sectors(H, d, link):
+    """Closed sectors of a generator on the samples H, as sorted coordinate
+    indices in the order of their first: the connected components of
+    ``link(on)``, the coordinates the generator couples when the (d, d)
+    entries ``on`` of H are nonzero somewhere.  Only the first block of H is
+    read when it already links every coordinate."""
+    for on in _support(H, d):
+        first = _components(link(on))
         if not first.any():
             break
-    return [np.flatnonzero(first == k) for k in np.flatnonzero(first == np.arange(d * d))]
+    return [np.flatnonzero(first == k) for k in np.flatnonzero(first == np.arange(len(first)))]
 
 
 def evolve_lindblad(hamiltonian, rho0, collapse=(), t_span=None, dt=DEFAULT_DT,
@@ -528,7 +587,8 @@ def evolve_lindblad(hamiltonian, rho0, collapse=(), t_span=None, dt=DEFAULT_DT,
     ``rho0`` may carry leading batch axes; ``hamiltonian(ts)`` may return
     matching batch axes (broadcast rules apply).  ``collapse`` is a list of
     (rate, operator) pairs entering as (rate/2) * (2 L rho L+ - {L+L, rho}).
-    The Hamiltonian is sampled once; each closed sector evolves on its own.
+    The Hamiltonian is sampled once; each closed sector of the Hermitian
+    coordinates (``_liouvillian_link``) evolves on its own.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[-1]
@@ -537,19 +597,33 @@ def evolve_lindblad(hamiltonian, rho0, collapse=(), t_span=None, dt=DEFAULT_DT,
     grid = _half_step_grid(t_span, dt)
     H = np.asarray(hamiltonian(grid[0]), dtype=complex)
     D = _dissipator(collapse, d)
-    sectors = _sectors(H, D, d)
-    parts = [_evolve(grid, H, coords[..., keep], record_stride, _liouvillian(D, d, keep))
-             for keep in sectors]
-    states = np.concatenate([p.states for p in parts], axis=-1) @ T.conj()[np.concatenate(sectors)]
-    parts[0].states = states.reshape(states.shape[:-1] + (d, d))
-    return parts[0]
+    sectors = _sectors(H, d, _liouvillian_link(D, d))
+    res = _evolve_sectors(grid, H, coords, record_stride, sectors,
+                          functools.partial(_liouvillian, D, d))
+    states = res.states @ T.conj()[np.concatenate(sectors)]
+    res.states = states.reshape(states.shape[:-1] + (d, d))
+    return res
 
 
 def evolve_schrodinger(hamiltonian, psi0, t_span, dt=DEFAULT_DT,
                        record_stride: int | None = None) -> EvolutionResult:
-    """Fixed-step RK4 for kets (last axis is the state index)."""
+    """Fixed-step RK4 for kets (last axis is the state index).
+
+    A ket evolves in its real coordinates (Re psi, Im psi) under
+    ``_ket_generator``; each closed set of levels, linked by an entry H[i, j]
+    nonzero at some sample, evolves on its own.
+    """
+    psi0 = np.asarray(psi0, dtype=complex)
+    d = psi0.shape[-1]
     grid = _half_step_grid(t_span, dt)
-    return _evolve(grid, np.asarray(hamiltonian(grid[0])), psi0, record_stride, lambda H: -1j * H)
+    H = np.asarray(hamiltonian(grid[0]), dtype=complex)
+    sectors = [np.concatenate([keep, d + keep]) for keep in _sectors(H, d, lambda on: on)]
+    res = _evolve_sectors(grid, H, np.concatenate([psi0.real, psi0.imag], axis=-1),
+                          record_stride, sectors, functools.partial(_ket_generator, d))
+    coords = np.empty_like(res.states)
+    coords[..., np.concatenate(sectors)] = res.states
+    res.states = coords[..., :d] + 1j * coords[..., d:]
+    return res
 
 
 def propagator(hamiltonian, dim, t_span, dt=DEFAULT_DT) -> np.ndarray:

@@ -214,10 +214,16 @@ def dynamical_comparator(spec, budget: AmplitudeBudget = DEFAULT_BUDGET,
     return pulse, ideal
 
 
+VARIANTS = ("geometric", "geometric_po", "dynamical")
+
+
 def gate_variants(gate_name: str, budget: AmplitudeBudget = DEFAULT_BUDGET,
-                  include=("geometric", "geometric_po", "dynamical"),
-                  comparator_style: str = "canonical"):
-    """Named (pulse, target) pairs entering a robustness scan."""
+                  include=VARIANTS, comparator_style: str = "canonical"):
+    """Named (pulse, target) pairs entering a robustness scan; ``include``
+    selects among ``VARIANTS`` and may name no other."""
+    unknown = sorted(set(include) - set(VARIANTS))
+    if unknown:
+        raise ValueError(f"unknown variants {unknown}; known: {', '.join(VARIANTS)}")
     spec = CATALOG[gate_name]
     target = target_unitary(spec)
     out = {}

@@ -319,10 +319,27 @@ MISTYPED = [
 ]
 
 OUT_OF_RANGE = [
-    ("scan", {"gate": "pi8", "dt_ns": 0.05, "scan": {"points": 0}}, "points"),
-    ("simulate", {"gate": "pi8", "dt_ns": 0.05, "record_stride": 0}, "record_stride"),
-    ("two-qubit", {"dt_ns": 0.05, "record_stride": 0}, "record_stride"),
+    ("scan", {"gate": "pi8", "dt_ns": 0.05, "scan": {"points": 0}}, "points", "1, got 0"),
+    ("simulate", {"gate": "pi8", "dt_ns": 0.05, "record_stride": 0}, "record_stride",
+     "1, got 0"),
+    ("two-qubit", {"dt_ns": 0.05, "record_stride": 0}, "record_stride", "1, got 0"),
+    ("synth", {"gate": "pi8", "grid_points": 1}, "grid_points", "2, got 1"),
+    ("simulate", {"gate": "pi8", "grid_points": 1}, "grid_points", "2, got 1"),
+    ("two-qubit", {"grid_points": 1}, "grid_points", "2, got 1"),
+    ("optimize", {"gate": "pi8", "grid_points": 1}, "grid_points", "2, got 1"),
+    ("optimize", {"gate": "pi8", "optimize": {"starts": -3}}, "starts", "1, got -3"),
+    ("optimize", {"gate": "pi8", "optimize": {"evals_per_start": -1}}, "evals_per_start",
+     "1, got -1"),
 ]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every command's first piece of work fail the test if it starts."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+    for name in ("synthesize", "gate_variants", "optimize"):
+        monkeypatch.setattr(f"geogate.cli.{name}", refuse)
 
 
 class TestErrors:
@@ -403,9 +420,10 @@ class TestErrors:
         assert payload["message"].startswith(f"config key {key!r} must be {kind}, got ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, payload, key", OUT_OF_RANGE,
+    @pytest.mark.parametrize("command, payload, key, bound", OUT_OF_RANGE,
                              ids=[f"{c[0]}-{c[2]}" for c in OUT_OF_RANGE])
-    def test_out_of_range_value_names_the_key(self, tmp_path, capsys, command, payload, key):
+    def test_out_of_range_value_names_the_key(self, tmp_path, capsys, no_work, command,
+                                              payload, key, bound):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, "range.json", {**payload, "out_dir": str(out)})
         assert main([command, "--config", cfg]) == 1
@@ -413,7 +431,22 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error: ")
         payload = json.loads(err[0][len("error: "):])
         assert payload["type"] == "ConfigError"
-        assert payload["message"] == f"config key {key!r} must be at least 1, got 0"
+        assert payload["message"] == f"config key {key!r} must be at least {bound}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variants", [["geometrc"], ["geometric", "dynamic"], []])
+    def test_unknown_variant_names_the_key(self, tmp_path, capsys, no_work, variants):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "variants.json", {
+            "gate": "pi8", "scan": {"variants": variants}, "out_dir": str(out)})
+        assert main(["scan", "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        payload = json.loads(err[0][len("error: "):])
+        assert payload["type"] == "ConfigError"
+        assert payload["message"] == (
+            "config key 'variants' must name one or more of geometric, geometric_po, "
+            f"dynamical, got {json.dumps(variants)}")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth", "simulate", "scan", "two-qubit", "optimize"])

@@ -733,6 +733,11 @@ class TestHermitianCoordinates:
         assert np.abs(res.states[-1] - rho0).max() > 1e-2
 
 
+def liouvillian_sectors(H, D):
+    d = H.shape[-1]
+    return dynamics._sectors(H, d, dynamics._liouvillian_link(D, d))
+
+
 def excitation_sectors():
     """|K| = |N(i) - N(j)| of the Hermitian basis index 6 i + j, which spans |i><j| and |j><i|."""
     N = np.sum(LEVELS, axis=1)
@@ -761,7 +766,7 @@ class TestExcitationSectors:
     def test_found_sectors_are_the_k_sets(self):
         H, D, _ = self.criterion_7_generator()
         K = excitation_sectors()
-        found = dynamics._sectors(H, D, 6)
+        found = liouvillian_sectors(H, D)
         assert [len(keep) for keep in found] == [14, 16, 6]
         for k, keep in enumerate(found):
             assert np.array_equal(keep, np.flatnonzero(K == k))
@@ -788,7 +793,7 @@ class TestExcitationSectors:
             collapse = two_qubit_collapse(rates)
             full = dynamics._liouvillian(dynamics._dissipator(collapse, 6), 6, np.arange(36))
             ref = dynamics._evolve(grid, sampler(grid[0]), basis.reshape(16, 36) @ T.T, None,
-                                   full).final
+                                   full)[0]
             ref = (ref @ T.conj()).reshape(16, 6, 6)
             got = evolve_lindblad(sampler, basis, collapse, (0.0, drive.tau), 0.02).final
             assert got.shape == (16, 6, 6)
@@ -833,7 +838,7 @@ class TestSectors:
         H = SECTOR_MODELS[model]()
         d = H.shape[-1]
         D = dynamics._dissipator(model_collapse(H, rates), d)
-        found = dynamics._sectors(H, D, d)
+        found = liouvillian_sectors(H, D)
         assert np.array_equal(np.sort(np.concatenate(found)), np.arange(d * d))
         label = np.empty(d * d, dtype=int)
         for k, keep in enumerate(found):
@@ -846,7 +851,7 @@ class TestSectors:
 
     def test_no_hamiltonian_and_no_collapse_leaves_every_coordinate_alone(self):
         H = zero_hamiltonian(3)(np.linspace(0.0, 1.0, 5))
-        found = dynamics._sectors(H, dynamics._dissipator([], 3), 3)
+        found = liouvillian_sectors(H, dynamics._dissipator([], 3))
         assert [list(keep) for keep in found] == [[k] for k in range(9)]
 
     def test_a_coupling_after_the_first_block_joins_sectors(self):
@@ -857,7 +862,118 @@ class TestSectors:
         rows = dynamics._CHUNK_BYTES // H[0].view(float).nbytes
         assert np.flatnonzero(ts > 3.0)[0] > rows
         D = dynamics._dissipator([], 2)
-        assert len(dynamics._sectors(H[ts <= 3.0], D, 2)) == 4
-        found = [list(keep) for keep in dynamics._sectors(H, D, 2)]
-        assert found == [list(keep) for keep in dynamics._sectors(H[ts > 3.0], D, 2)]
+        assert len(liouvillian_sectors(H[ts <= 3.0], D)) == 4
+        found = [list(keep) for keep in liouvillian_sectors(H, D)]
+        assert found == [list(keep) for keep in liouvillian_sectors(H[ts > 3.0], D)]
         assert found == [[0, 1, 2, 3]]
+
+
+def ket_sectors(H):
+    return dynamics._sectors(H, H.shape[-1], lambda on: on)
+
+
+def random_drive(seed, d):
+    """H0 + cos(w t) H1 with random Hermitian H0, H1 and a random w."""
+    rng = np.random.default_rng(seed)
+    H0, H1 = random_hermitian(rng, d), random_hermitian(rng, d)
+    w = rng.uniform(0.5, 2.0)
+    return lambda ts: H0 + np.cos(w * np.asarray(ts))[:, None, None] * H1
+
+
+class TestKetCoordinates:
+    """Kets evolve in the real coordinates (Re psi, Im psi), sector by sector,
+    against a plain per-step complex RK4 (``reference_rk4``)."""
+
+    def test_driven_qubit(self):
+        pulse = synthesize(CATALOG["pi8"])
+        sampler = two_level_hamiltonian(pulse)
+        psi0 = np.array([1.0, 1.0j]) / math.sqrt(2)
+        got = evolve_schrodinger(sampler, psi0, (0.0, pulse.tau), dt=0.01, record_stride=20)
+        times, ref = reference_rk4(sampler, psi0, schrodinger_rhs, (0.0, pulse.tau), 0.01,
+                                   record_stride=20)
+        assert np.array_equal(got.times, times)
+        assert np.abs(got.states - ref).max() <= 1e-14
+
+    def test_coupled_pair_from_11(self):
+        params, drive = two_qubit_drive(grid_points=4001)
+        sampler = two_qubit_full_hamiltonian(params, drive)
+        psi0 = np.eye(6, dtype=complex)[IDX_11]
+        got = evolve_schrodinger(sampler, psi0, (0.0, drive.tau), dt=0.02, record_stride=100)
+        times, ref = reference_rk4(sampler, psi0, schrodinger_rhs, (0.0, drive.tau), 0.02,
+                                   record_stride=100)
+        assert np.array_equal(got.times, times)
+        assert np.abs(got.states - ref).max() <= 1e-14
+        assert np.abs(ref[-1] - psi0).max() > 1e-2
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_propagator_rows(self, d):
+        pulse = drag_correct(synthesize(CATALOG["pi8"], grid_points=801), ANH)
+        sampler = two_level_hamiltonian(pulse) if d == 2 else three_level_hamiltonian(pulse, ANH)
+        U = propagator(sampler, d, (0.0, pulse.tau), dt=0.005)
+        ref = reference_rk4(sampler, np.eye(d, dtype=complex), schrodinger_rhs,
+                            (0.0, pulse.tau), 0.005)
+        assert np.abs(U - ref.T).max() <= 1e-14
+
+    def test_generator_is_minus_i_h_for_real_and_imaginary_parts(self):
+        rng = np.random.default_rng(5)
+        H = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+        A = dynamics._ket_generator(3, np.arange(6))(H)
+        assert np.array_equal(A, np.block([[H.imag, H.real], [-H.real, H.imag]]))
+        keep = np.array([0, 2, 3, 5])  # levels 0 and 2
+        assert np.array_equal(dynamics._ket_generator(3, keep)(H), A[:, keep][:, :, keep])
+        psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+        dz = A[0] @ np.concatenate([psi.real, psi.imag])
+        assert np.abs(dz[:3] + 1j * dz[3:] - (-1j * H[0] @ psi)).max() <= 1e-14
+
+    def test_coupled_sectors_are_the_excitation_numbers(self):
+        found = ket_sectors(coupled_samples())
+        assert [[LEVELS[k] for k in keep] for keep in found] == [
+            [(0, 0)], [(0, 1), (1, 0)], [(0, 2), (1, 1), (2, 0)]]
+
+    @pytest.mark.parametrize("level", [IDX_11, IDX_01])
+    def test_a_ket_in_one_sector_leaves_the_others_at_zero(self, level, monkeypatch):
+        params, drive = two_qubit_drive(grid_points=4001)
+        sampler = two_qubit_full_hamiltonian(params, drive)
+        built = []
+
+        def spy(d, keep):
+            built.append(list(keep))
+            return generator(d, keep)
+
+        generator = dynamics._ket_generator
+        monkeypatch.setattr(dynamics, "_ket_generator", spy)
+        res = evolve_schrodinger(sampler, np.eye(6, dtype=complex)[level], (0.0, drive.tau),
+                                 dt=0.02, record_stride=50)
+        inside = next(keep for keep in ket_sectors(coupled_samples()) if level in keep)
+        assert built == [list(inside) + list(6 + inside)]  # only that sector is evolved
+        outside = np.setdiff1d(np.arange(6), inside)
+        assert np.all(res.states[:, outside] == 0.0)
+        assert np.abs(res.states[-1, inside]).max() < 1.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_propagator_is_unitary(self, d, seed):
+        U = propagator(random_drive(seed, d), d, (0.0, 3.0), dt=0.01)
+        assert np.abs(U.conj().T @ U - np.eye(d)).max() <= 1e-7
+        assert np.abs(U - np.eye(d)).max() > 1e-1
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_dt_halving_converges_at_fourth_order(self, d, seed):
+        U = [propagator(random_drive(seed, d), d, (0.0, 3.0), dt) for dt in (0.04, 0.02, 0.01)]
+        coarse, fine = np.abs(U[0] - U[1]).max(), np.abs(U[1] - U[2]).max()
+        assert fine <= 1e-5
+        assert 14.0 <= coarse / fine <= 18.0
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_real_projection_is_the_complex_one_bit_for_bit(self, d):
+        # h = Re(T vec H) as one real product of H's (re, im) pairs
+        rng = np.random.default_rng(30 + d)
+        H = np.stack([random_hermitian(rng, d) for _ in range(257)])
+        D = dynamics._dissipator(qubit_collapse(STRONG, d), d)
+        T, C = dynamics._hermitian_basis(d), dynamics._commutator_generators(d)
+        h = (H.reshape(-1, d * d) @ T.T).real
+        A = h @ C.reshape(d * d, d ** 4)
+        A += D.ravel()
+        got = dynamics._liouvillian(D, d, np.arange(d * d))(H)
+        assert np.array_equal(got, A.reshape(-1, d * d, d * d))

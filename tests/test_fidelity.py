@@ -197,6 +197,11 @@ class TestGateVariants:
         with pytest.raises(KeyError):
             gate_variants("phase", include=("geometric_po",))
 
+    @pytest.mark.parametrize("include", [("geometrc",), ("geometric", "dynamic"), "geometric"])
+    def test_unknown_variant_is_rejected(self, include):
+        with pytest.raises(ValueError, match="unknown variants"):
+            gate_variants("pi8", include=include)
+
 
 class TestRobustnessScan:
     def test_zero_point_matches_direct_evaluation(self):
