@@ -117,15 +117,27 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _number(config, key, default) -> float:
-    return float(_typed(config, key, default, "a number", _is_number))
+def _in_range(name, value, minimum, strict=False):
+    """``value`` of the key or flag ``name``, which must be at least ``minimum``
+    (above it when ``strict``)."""
+    if not (value > minimum if strict else value >= minimum):
+        raise ConfigError(f"{name} must be {'greater than' if strict else 'at least'} "
+                          f"{minimum}, got {value}")
+    return value
+
+
+def _number(config, key, default, minimum=None, strict=False) -> float:
+    value = _typed(config, key, default, "a number", _is_number)
+    if minimum is not None:
+        _in_range(f"config key {key!r}", value, minimum, strict)
+    return float(value)
 
 
 def _integer(config, key, default, minimum=None) -> int:
     value = _typed(config, key, default, "an integer",
                    lambda v: isinstance(v, int) and not isinstance(v, bool))
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"config key {key!r} must be at least {minimum}, got {value}")
+    if minimum is not None:
+        _in_range(f"config key {key!r}", value, minimum)
     return value
 
 
@@ -168,8 +180,8 @@ def _budget(config, args) -> AmplitudeBudget:
 
 
 def _rates(config) -> DecoherenceRates:
-    return DecoherenceRates(gamma_decay=_number(config, "gamma_khz", 0.0) * KHZ,
-                            kappa_dephase=_number(config, "kappa_khz", 0.0) * KHZ)
+    return DecoherenceRates(gamma_decay=_number(config, "gamma_khz", 0.0, minimum=0) * KHZ,
+                            kappa_dephase=_number(config, "kappa_khz", 0.0, minimum=0) * KHZ)
 
 
 def _coeffs(config, args):
@@ -188,9 +200,10 @@ def _gate_name(config, args) -> str:
 
 
 def _dt(config, args, default=0.001) -> float:
+    dt = _number(config, "dt_ns", default, minimum=0, strict=True)
     if getattr(args, "dt", None) is not None:
-        return args.dt
-    return _number(config, "dt_ns", default)
+        return _in_range("flag --dt", args.dt, 0, strict=True)
+    return dt
 
 
 def _out_dir(config, args) -> str:

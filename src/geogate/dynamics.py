@@ -57,12 +57,16 @@ built once per call.  Each closed sector of A on the sampled grid
 (``_sectors``: levels linked by an entry of H for kets, Hermitian
 coordinates linked by D and the C_nu for density matrices) evolves under
 its block of A, and a sector whose initial coordinates are all zero stays
-zero without being evolved.  Complex coordinates such as those of |a><b|
-evolve as their real and imaginary columns.  Generators are built per
-chunk of steps under a fixed byte budget.  The formula applied to the
-identity gives every step map of a chunk at once, held as its difference
-from the identity; a pairwise tree product composes them and the product
-acts on the states.  Chunks hold whole record intervals, so recorded
+zero without being evolved.  The sum over nu runs only over H's nonzero
+coordinates, the nu = d i + j whose H[i, j] or H[j, i] is nonzero
+somewhere, whenever the sector search read the whole grid (6 of 36 for
+the coupled pair); when the first block of samples already links every
+coordinate it runs over all of them.  Complex coordinates such as those
+of |a><b| evolve as their real and imaginary columns.  Generators are
+built per chunk of steps under a fixed byte budget.  The formula applied
+to the identity gives every step map of a chunk at once, held as its
+difference from the identity; a pairwise tree product composes them and
+the product acts on the states.  Chunks hold whole record intervals, so recorded
 states come from running products of the interval maps.
 """
 
@@ -366,17 +370,32 @@ def _rk4_increment(A1, A2, A3, h):
     A1, A2, A3 are A at t, t + h/2 and t + h; the step starts from Y = I,
     so k1 = A1 I = A1.
     """
-    eye = np.eye(A1.shape[-1])
-    k2 = A2 @ (eye + 0.5 * h * A1)
-    k3 = A2 @ (eye + 0.5 * h * k2)
-    k4 = A3 @ (eye + h * k3)
-    return (h / 6) * (A1 + 2 * k2 + 2 * k3 + k4)
+    n = A1.shape[-1]
+    F = np.multiply(A1, 0.5 * h)  # one buffer for the three factors I + c k
+    ones = F.reshape(F.shape[:-2] + (n * n,))[..., ::n + 1]
+    ones += 1.0
+    k2 = A2 @ F
+    np.multiply(k2, 0.5 * h, out=F)
+    ones += 1.0
+    k3 = A2 @ F
+    np.multiply(k3, h, out=F)
+    ones += 1.0
+    k4 = A3 @ F
+    k2 *= 2  # A1 + 2 k2 + 2 k3 + k4, summed in that order
+    k2 += A1
+    k3 *= 2
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6
+    return k2
 
 
 def _then(E2, E1):
     """(I + E2)(I + E1) - I.  Maps are held as their difference from the
     identity, which keeps the rounding of the ones off the small increments."""
-    return E2 + E1 + E2 @ E1
+    E = np.add(E2, E1)
+    E += E2 @ E1
+    return E
 
 
 def _compose(E):
@@ -389,9 +408,11 @@ def _compose(E):
 
 def _interval_maps(E, stride):
     """Maps from the first step to the end of each ``stride``-step record interval,
-    as running products by doubling; zero maps (identities) pad a short last one."""
+    as running products by doubling; zero maps (identities) pad a short last one.
+    ``E`` may be overwritten."""
     s = min(stride, len(E))
-    E = np.concatenate([E, np.zeros((-len(E) % s,) + E.shape[1:], dtype=E.dtype)])
+    if len(E) % s:
+        E = np.concatenate([E, np.zeros((-len(E) % s,) + E.shape[1:], dtype=E.dtype)])
     P = _compose(E.reshape((-1, s) + E.shape[1:]).swapaxes(0, 1))
     k = 1
     while k < len(P):
@@ -499,17 +520,20 @@ def _dissipator(collapse, d):
     return (T @ D.transpose(0, 2, 1, 3).reshape(d * d, d * d) @ T.conj().T).real
 
 
-def _liouvillian(D, d, keep):
+def _liouvillian(D, d, on, keep):
     """Builder of the real generator A(t) = D + sum_nu h_nu(t) C[nu], h = Re(T vec H),
     on the sorted basis indices ``keep`` of a closed sector (``_sectors``).
 
-    h is one real product: the (real, imaginary) pairs of vec H against the
-    rows (Re T, -Im T) of each entry."""
+    The sum runs over the nu whose H[i, j] or H[j, i] (nu = d i + j) is an
+    entry of ``on``, the (d, d) entries of H that may be nonzero; the terms
+    it leaves out are exact zeros.  h is one real product: the (real,
+    imaginary) pairs of vec H against the rows (Re T, -Im T) of each entry."""
     T = _hermitian_basis(d)
-    R = np.stack([T.real.T, -T.imag.T], axis=1).reshape(2 * d * d, d * d)
+    active = np.flatnonzero((on | on.T).ravel())
+    R = np.stack([T.real.T, -T.imag.T], axis=1).reshape(2 * d * d, d * d).take(active, axis=1)
     n = len(keep)
     D = D[np.ix_(keep, keep)].ravel()
-    C = _commutator_generators(d)[:, keep][:, :, keep].reshape(d * d, n * n)
+    C = _commutator_generators(d)[np.ix_(active, keep, keep)].reshape(len(active), n * n)
 
     def generator(H):
         h = H.reshape(-1, d * d).view(float) @ R
@@ -572,12 +596,20 @@ def _sectors(H, d, link):
     indices in the order of their first: the connected components of
     ``link(on)``, the coordinates the generator couples when the (d, d)
     entries ``on`` of H are nonzero somewhere.  Only the first block of H is
-    read when it already links every coordinate."""
-    for on in _support(H, d):
-        first = _components(link(on))
-        if not first.any():
-            break
-    return [np.flatnonzero(first == k) for k in np.flatnonzero(first == np.arange(len(first)))]
+    read when it already links every coordinate.
+
+    Returns the sectors and ``on``: the entries nonzero at some sample when
+    the whole of H was read, every entry when only the first block was."""
+    blocks = _support(H, d)
+    on = next(blocks)
+    first = _components(link(on))
+    if first.any():
+        for on in blocks:
+            first = _components(link(on))
+    else:
+        on = np.ones((d, d), dtype=bool)
+    sectors = [np.flatnonzero(first == k) for k in np.flatnonzero(first == np.arange(len(first)))]
+    return sectors, on
 
 
 def evolve_lindblad(hamiltonian, rho0, collapse=(), t_span=None, dt=DEFAULT_DT,
@@ -597,9 +629,9 @@ def evolve_lindblad(hamiltonian, rho0, collapse=(), t_span=None, dt=DEFAULT_DT,
     grid = _half_step_grid(t_span, dt)
     H = np.asarray(hamiltonian(grid[0]), dtype=complex)
     D = _dissipator(collapse, d)
-    sectors = _sectors(H, d, _liouvillian_link(D, d))
+    sectors, on = _sectors(H, d, _liouvillian_link(D, d))
     res = _evolve_sectors(grid, H, coords, record_stride, sectors,
-                          functools.partial(_liouvillian, D, d))
+                          functools.partial(_liouvillian, D, d, on))
     states = res.states @ T.conj()[np.concatenate(sectors)]
     res.states = states.reshape(states.shape[:-1] + (d, d))
     return res
@@ -617,7 +649,7 @@ def evolve_schrodinger(hamiltonian, psi0, t_span, dt=DEFAULT_DT,
     d = psi0.shape[-1]
     grid = _half_step_grid(t_span, dt)
     H = np.asarray(hamiltonian(grid[0]), dtype=complex)
-    sectors = [np.concatenate([keep, d + keep]) for keep in _sectors(H, d, lambda on: on)]
+    sectors = [np.concatenate([keep, d + keep]) for keep in _sectors(H, d, lambda on: on)[0]]
     res = _evolve_sectors(grid, H, np.concatenate([psi0.real, psi0.imag], axis=-1),
                           record_stride, sectors, functools.partial(_ket_generator, d))
     coords = np.empty_like(res.states)

@@ -319,17 +319,23 @@ MISTYPED = [
 ]
 
 OUT_OF_RANGE = [
-    ("scan", {"gate": "pi8", "dt_ns": 0.05, "scan": {"points": 0}}, "points", "1, got 0"),
+    ("scan", {"gate": "pi8", "dt_ns": 0.05, "scan": {"points": 0}}, "points", "at least 1, got 0"),
     ("simulate", {"gate": "pi8", "dt_ns": 0.05, "record_stride": 0}, "record_stride",
-     "1, got 0"),
-    ("two-qubit", {"dt_ns": 0.05, "record_stride": 0}, "record_stride", "1, got 0"),
-    ("synth", {"gate": "pi8", "grid_points": 1}, "grid_points", "2, got 1"),
-    ("simulate", {"gate": "pi8", "grid_points": 1}, "grid_points", "2, got 1"),
-    ("two-qubit", {"grid_points": 1}, "grid_points", "2, got 1"),
-    ("optimize", {"gate": "pi8", "grid_points": 1}, "grid_points", "2, got 1"),
-    ("optimize", {"gate": "pi8", "optimize": {"starts": -3}}, "starts", "1, got -3"),
+     "at least 1, got 0"),
+    ("two-qubit", {"dt_ns": 0.05, "record_stride": 0}, "record_stride", "at least 1, got 0"),
+    ("synth", {"gate": "pi8", "grid_points": 1}, "grid_points", "at least 2, got 1"),
+    ("simulate", {"gate": "pi8", "grid_points": 1}, "grid_points", "at least 2, got 1"),
+    ("two-qubit", {"grid_points": 1}, "grid_points", "at least 2, got 1"),
+    ("optimize", {"gate": "pi8", "grid_points": 1}, "grid_points", "at least 2, got 1"),
+    ("optimize", {"gate": "pi8", "optimize": {"starts": -3}}, "starts", "at least 1, got -3"),
     ("optimize", {"gate": "pi8", "optimize": {"evals_per_start": -1}}, "evals_per_start",
-     "1, got -1"),
+     "at least 1, got -1"),
+    ("simulate", {"gate": "pi8", "dt_ns": -0.01}, "dt_ns", "greater than 0, got -0.01"),
+    ("scan", {"gate": "pi8", "dt_ns": 0.0}, "dt_ns", "greater than 0, got 0.0"),
+    ("two-qubit", {"dt_ns": 0}, "dt_ns", "greater than 0, got 0"),
+    ("simulate", {"gate": "pi8", "gamma_khz": -3}, "gamma_khz", "at least 0, got -3"),
+    ("scan", {"gate": "pi8", "kappa_khz": -0.5}, "kappa_khz", "at least 0, got -0.5"),
+    ("two-qubit", {"gamma_khz": 3.0, "kappa_khz": -3.0}, "kappa_khz", "at least 0, got -3.0"),
 ]
 
 
@@ -431,7 +437,19 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error: ")
         payload = json.loads(err[0][len("error: "):])
         assert payload["type"] == "ConfigError"
-        assert payload["message"] == f"config key {key!r} must be at least {bound}"
+        assert payload["message"] == f"config key {key!r} must be {bound}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, dt", [("simulate", "-0.01"), ("scan", "0"),
+                                             ("two-qubit", "0")])
+    def test_non_positive_dt_flag_names_the_flag(self, tmp_path, capsys, no_work, command, dt):
+        out = tmp_path / "out"
+        assert main([command, "--gate", "pi8", "--dt", dt, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        payload = json.loads(err[0][len("error: "):])
+        assert payload["type"] == "ConfigError"
+        assert payload["message"] == f"flag --dt must be greater than 0, got {float(dt)}"
         assert not out.exists()
 
     @pytest.mark.parametrize("variants", [["geometrc"], ["geometric", "dynamic"], []])

@@ -667,6 +667,11 @@ def vec_liouvillian(H, collapse):
     return A
 
 
+def full_sum_liouvillian(D, d, keep):
+    """``_liouvillian`` with every coordinate of H in the sum over nu."""
+    return dynamics._liouvillian(D, d, np.ones((d, d), dtype=bool), keep)
+
+
 COLLAPSE_SETS = [(2, "qubit"), (3, "qubit"), (6, "qubit"), (6, "two_qubit")]
 
 
@@ -693,7 +698,7 @@ class TestHermitianCoordinates:
         H = np.stack([random_hermitian(rng, d) for _ in range(3)])
         collapse = collapse_set(d, kind)
         T = reference_hermitian_basis(d).conj().reshape(d * d, d * d)
-        A = dynamics._liouvillian(dynamics._dissipator(collapse, d), d, np.arange(d * d))(H)
+        A = full_sum_liouvillian(dynamics._dissipator(collapse, d), d, np.arange(d * d))(H)
         assert A.shape == (3, d * d, d * d) and A.dtype == np.float64
         for Hk, Ak in zip(H, A):
             rotated = T @ vec_liouvillian(Hk, collapse) @ T.conj().T
@@ -735,7 +740,7 @@ class TestHermitianCoordinates:
 
 def liouvillian_sectors(H, D):
     d = H.shape[-1]
-    return dynamics._sectors(H, d, dynamics._liouvillian_link(D, d))
+    return dynamics._sectors(H, d, dynamics._liouvillian_link(D, d))[0]
 
 
 def excitation_sectors():
@@ -752,7 +757,7 @@ class TestExcitationSectors:
         ts = _half_step_grid((0.0, drive.tau), 0.02)[0]
         H = two_qubit_full_hamiltonian(params, drive)(ts)
         D = dynamics._dissipator(two_qubit_collapse(rates), 6)
-        return H, D, dynamics._liouvillian(D, 6, np.arange(36))(H)
+        return H, D, full_sum_liouvillian(D, 6, np.arange(36))(H)
 
     def test_no_entries_across_sectors(self):
         _, _, A = self.criterion_7_generator()
@@ -776,7 +781,7 @@ class TestExcitationSectors:
         K = excitation_sectors()
         for k in range(3):
             keep = np.flatnonzero(K == k)
-            block = dynamics._liouvillian(D, 6, keep)(H)
+            block = full_sum_liouvillian(D, 6, keep)(H)
             assert np.array_equal(block, A[:, keep][:, :, keep])
 
     def test_sector_channel_matches_the_full_vec_space(self):
@@ -791,7 +796,7 @@ class TestExcitationSectors:
         T = dynamics._hermitian_basis(6)
         for rates in (STRONG, DecoherenceRates()):
             collapse = two_qubit_collapse(rates)
-            full = dynamics._liouvillian(dynamics._dissipator(collapse, 6), 6, np.arange(36))
+            full = full_sum_liouvillian(dynamics._dissipator(collapse, 6), 6, np.arange(36))
             ref = dynamics._evolve(grid, sampler(grid[0]), basis.reshape(16, 36) @ T.T, None,
                                    full)[0]
             ref = (ref @ T.conj()).reshape(16, 6, 6)
@@ -844,7 +849,7 @@ class TestSectors:
         for k, keep in enumerate(found):
             assert np.array_equal(keep, np.sort(keep))
             label[keep] = k
-        A = dynamics._liouvillian(D, d, np.arange(d * d))(H).reshape(-1, d * d, d * d)
+        A = full_sum_liouvillian(D, d, np.arange(d * d))(H).reshape(-1, d * d, d * d)
         assert np.all(A[:, label[:, None] != label[None, :]] == 0.0)
         if model != "coupled":
             assert len(found) == 1  # the drive links every coordinate
@@ -869,7 +874,7 @@ class TestSectors:
 
 
 def ket_sectors(H):
-    return dynamics._sectors(H, H.shape[-1], lambda on: on)
+    return dynamics._sectors(H, H.shape[-1], lambda on: on)[0]
 
 
 def random_drive(seed, d):
@@ -975,5 +980,103 @@ class TestKetCoordinates:
         h = (H.reshape(-1, d * d) @ T.T).real
         A = h @ C.reshape(d * d, d ** 4)
         A += D.ravel()
-        got = dynamics._liouvillian(D, d, np.arange(d * d))(H)
+        got = full_sum_liouvillian(D, d, np.arange(d * d))(H)
         assert np.array_equal(got, A.reshape(-1, d * d, d * d))
+
+
+def previous_rk4_increment(A1, A2, A3, h):
+    eye = np.eye(A1.shape[-1])
+    k2 = A2 @ (eye + 0.5 * h * A1)
+    k3 = A2 @ (eye + 0.5 * h * k2)
+    k4 = A3 @ (eye + h * k3)
+    return (h / 6) * (A1 + 2 * k2 + 2 * k3 + k4)
+
+
+def previous_liouvillian(D, d, keep, H):
+    """All d^2 coordinates in the sum over nu."""
+    T = dynamics._hermitian_basis(d)
+    R = np.stack([T.real.T, -T.imag.T], axis=1).reshape(2 * d * d, d * d)
+    n = len(keep)
+    C = dynamics._commutator_generators(d)[:, keep][:, :, keep].reshape(d * d, n * n)
+    A = H.reshape(-1, d * d).view(float) @ R @ C
+    A += D[np.ix_(keep, keep)].ravel()
+    return A.reshape(H.shape[:-2] + (n, n))
+
+
+def active_coordinates(on):
+    return list(np.flatnonzero((on | on.T).ravel()))
+
+
+class TestKernelBits:
+    """The in-place RK4 kernels and the generator on H's nonzero coordinates give
+    the bits of the expressions they replace."""
+
+    # scan batch of the qubit channel, one transmon sector, the coupled |K| = 0 sector
+    @pytest.mark.parametrize("shape", [(11, 1, 4, 4), (9, 9), (14, 14)])
+    def test_rk4_increment_and_then_on_the_strided_views(self, shape):
+        rng = np.random.default_rng(shape[-1])
+        c = 37
+        A = rng.normal(size=(2 * c + 1,) + shape)
+        A[rng.random(A.shape) < 0.3] = 0.0  # generators are sparse
+        h = 0.01
+        E = dynamics._rk4_increment(A[:-1:2], A[1::2], A[2::2], h)
+        assert np.array_equal(E, previous_rk4_increment(A[:-1:2], A[1::2], A[2::2], h))
+        for X in (A, E):
+            assert np.array_equal(dynamics._then(X[1::2], X[:-1:2]),
+                                  X[1::2] + X[:-1:2] + X[1::2] @ X[:-1:2])
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_generator_on_the_nonzero_coordinates(self, d):
+        rng = np.random.default_rng(50 + d)
+        rows = dynamics._CHUNK_BYTES // (16 * d * d)  # samples in the first block read
+        H = np.stack([random_hermitian(rng, d) for _ in range(rows + 40)])
+        H[:, 0, 0] = 0.0
+        zero = {0}
+        if d > 2:
+            H[:, 0, d - 1] = H[:, d - 1, 0] = 0.0
+            zero |= {d - 1, d * (d - 1)}
+        # the first block is diagonal, so it does not link every coordinate
+        late = (1, 0)
+        H[:rows] *= np.eye(d)
+        on = np.abs(H).max(axis=0) > 0
+        assert active_coordinates(on) == [nu for nu in range(d * d) if nu not in zero]
+
+        no_collapse = dynamics._liouvillian_link(np.zeros((d * d, d * d)), d)
+        sectors, found = dynamics._sectors(H, d, no_collapse)
+        assert found[late] and found[late[::-1]]  # nonzero only after the first block
+        assert np.array_equal(found, on)
+        D = dynamics._dissipator(qubit_collapse(STRONG, d), d)
+        for keep in [np.arange(d * d)] + sectors:
+            ref = previous_liouvillian(D, d, keep, H)
+            assert np.array_equal(dynamics._liouvillian(D, d, found, keep)(H), ref)
+            assert np.array_equal(full_sum_liouvillian(D, d, keep)(H), ref)
+        first_block = np.abs(H[:rows]).max(axis=0) > 0
+        assert not np.array_equal(dynamics._liouvillian(D, d, first_block, np.arange(d * d))(H),
+                                  previous_liouvillian(D, d, np.arange(d * d), H))
+
+    @pytest.mark.parametrize("rates", [STRONG, DecoherenceRates()], ids=["strong", "closed"])
+    def test_coupled_generator_reads_six_coordinates(self, rates, monkeypatch):
+        params, drive = two_qubit_drive(grid_points=4001)
+        sampler = two_qubit_full_hamiltonian(params, drive)
+        built = []
+
+        def spy(D, d, on, keep):
+            built.append(active_coordinates(on))
+            return generator(D, d, on, keep)
+
+        generator = dynamics._liouvillian
+        monkeypatch.setattr(dynamics, "_liouvillian", spy)
+        basis = np.zeros((2, 6, 6), dtype=complex)
+        basis[0, IDX_11, IDX_11] = basis[1, IDX_01, IDX_11] = basis[1, 0, 0] = 1.0
+        evolve_lindblad(sampler, basis, two_qubit_collapse(rates), (0.0, drive.tau), dt=0.02)
+        exchange = [(IDX_10, IDX_01), (IDX_11, IDX_02), (IDX_20, IDX_11)]
+        six = sorted(6 * i + j for a, b in exchange for i, j in ((a, b), (b, a)))
+        assert built and all(active == six for active in built)
+
+    @pytest.mark.parametrize("model", ["qubit", "transmon", "scan_batch"])
+    def test_one_sector_keeps_every_coordinate(self, model):
+        H = SECTOR_MODELS[model]()
+        d = H.shape[-1]
+        D = dynamics._dissipator(model_collapse(H, STRONG), d)
+        sectors, on = dynamics._sectors(H, d, dynamics._liouvillian_link(D, d))
+        assert len(sectors) == 1 and on.all()
