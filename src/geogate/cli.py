@@ -113,8 +113,9 @@ def _typed(config, key, default, kind, accepts):
     return value
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_number(value) -> bool:  # finite as a float; JSON may also give NaN, Infinity, 10**400
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _in_range(name, value, minimum, strict=False):
@@ -174,9 +175,10 @@ def _block(config, key) -> dict:
 
 
 def _budget(config, args) -> AmplitudeBudget:
-    if getattr(args, "omega0", None) is not None:
-        return AmplitudeBudget(args.omega0)  # flag value already in rad/ns
-    return AmplitudeBudget(_number(config, "omega0_mhz", 30.0) * MHZ)
+    omega0 = _number(config, "omega0_mhz", 30.0, minimum=0, strict=True) * MHZ
+    if getattr(args, "omega0", None) is not None:  # flag value already in rad/ns
+        omega0 = _in_range("flag --omega0", args.omega0, 0, strict=True)
+    return AmplitudeBudget(omega0)
 
 
 def _rates(config) -> DecoherenceRates:
@@ -224,7 +226,6 @@ def cmd_synth(args) -> int:
     if drag:
         anh = _number(config, "anharmonicity_mhz", 220.0) * MHZ
         pulse = drag_correct(pulse, anh)
-    os.makedirs(out_dir, exist_ok=True)
     out = os.path.join(out_dir, f"pulse_{gate}.csv")
     pulse.to_csv(out)
     write_manifest(out_dir, "synth", config, args.seed, [out])
@@ -260,7 +261,6 @@ def cmd_simulate(args) -> int:
     trace = fidelity_dynamics(pulse, ket0, model=model, anharmonicity=anh,
                               rates=rates, err=err, dt=dt, record_stride=stride)
     fid = trace.gate_fidelity(target_unitary(spec))
-    os.makedirs(out_dir, exist_ok=True)
     out = os.path.join(out_dir, f"trace_{gate}_{model}.csv")
     trace.to_csv(out)
     write_manifest(out_dir, "simulate", config, args.seed, [out])
@@ -286,7 +286,6 @@ def cmd_scan(args) -> int:
     values = np.linspace(lo, hi, n_points)
     # every axis is scanned before any file is written, so a bad axis leaves no output
     scans = [robustness_scan(variants, axis, values, rates=rates, dt=dt) for axis in axes]
-    os.makedirs(out_dir, exist_ok=True)
     outputs = []
     i0 = int(np.argmin(np.abs(values)))  # the grid point nearest zero error
     for axis, scan in zip(axes, scans):
@@ -332,7 +331,6 @@ def cmd_two_qubit(args) -> int:
     pulse = synthesize(spec, default_schedule(spec, coeffs), budget, grid)
     drive = build_two_qubit_drive(params, pulse, gamma_prime)
     fid = average_gate_fidelity_2q(params, drive, rates=rates, model=model, dt=dt)
-    os.makedirs(out_dir, exist_ok=True)
     outputs = []
     if model == "full":
         sampler = two_qubit_full_hamiltonian(params, drive)
@@ -370,7 +368,6 @@ def cmd_optimize(args) -> int:
     max_evals = _integer(opt_cfg, "evals_per_start", 500, minimum=1)
     out_dir = _out_dir(config, args)
     result = optimize(problem, seed=seed, n_starts=n_starts, max_evals_per_start=max_evals)
-    os.makedirs(out_dir, exist_ok=True)
     out = os.path.join(out_dir, f"optimize_{gate}.csv")
     result.to_csv(out, gate_name=gate)
     hist = os.path.join(out_dir, f"optimize_{gate}_history.csv")

@@ -62,8 +62,12 @@ coordinates, the nu = d i + j whose H[i, j] or H[j, i] is nonzero
 somewhere, whenever the sector search read the whole grid (6 of 36 for
 the coupled pair); when the first block of samples already links every
 coordinate it runs over all of them.  Complex coordinates such as those
-of |a><b| evolve as their real and imaginary columns.  Generators are
-built per chunk of steps under a fixed byte budget.  The formula applied
+of |a><b| evolve as their real and imaginary columns.  H is read once
+into tracks, the real numbers the generators are built from per chunk of
+steps: h_nu of the summed nu for density matrices, after which the dense
+grid is released, and the (Re, Im) pairs of vec H for kets.  A chunk holds
+what a byte budget of generator samples allows, but at least 128 steps,
+as every chunk costs the same few dozen numpy calls.  The formula applied
 to the identity gives every step map of a chunk at once, held as its
 difference from the identity; a pairwise tree product composes them and
 the product acts on the states.  Chunks hold whole record intervals, so recorded
@@ -85,6 +89,7 @@ from .pulses import DrivePulse
 
 DEFAULT_DT = 0.001  # ns
 _CHUNK_BYTES = 1 << 17   # bytes of generator samples built at once
+_MIN_CHUNK_STEPS = 128   # fewer steps per chunk cost more in numpy calls than they save
 
 
 @dataclass(frozen=True)
@@ -235,16 +240,12 @@ def build_two_qubit_drive(params: TransmonParams, pulse: DrivePulse,
                          gamma_g_prime=gamma_g_prime)
 
 
-def _cumulative_trapezoid(y, x):
-    out = np.empty_like(y)
-    out[0] = 0.0
-    np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x), out=out[1:])
-    return out
-
-
 def subspace_frame_phase(drive: TwoQubitDrive, ts) -> np.ndarray:
-    """Integral of Delta' accumulated on the supplied grid."""
-    return _cumulative_trapezoid(np.interp(ts, drive.pulse.t, drive.pulse.delta), ts)
+    """Integral of Delta' accumulated on the supplied grid by the trapezoid rule."""
+    y = np.interp(ts, drive.pulse.t, drive.pulse.delta)
+    out = np.zeros_like(y)
+    np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(ts), out=out[1:])
+    return out
 
 
 def subspace_frame_unitary(drive: TwoQubitDrive) -> np.ndarray:
@@ -302,17 +303,10 @@ def two_qubit_full_hamiltonian(params: TransmonParams, drive: TwoQubitDrive):
 
 def qubit_collapse(rates: DecoherenceRates, dim: int = 2):
     """Decay and dephasing embedded in the qubit subspace of a d-level system."""
-    ops = []
-    if rates.gamma_decay:
-        sm = np.zeros((dim, dim), dtype=complex)
-        sm[0, 1] = 1.0
-        ops.append((rates.gamma_decay, sm))
-    if rates.kappa_dephase:
-        sz = np.zeros((dim, dim), dtype=complex)
-        sz[0, 0] = -1.0
-        sz[1, 1] = 1.0
-        ops.append((rates.kappa_dephase, sz))
-    return ops
+    sm = np.zeros((dim, dim), dtype=complex)
+    sm[0, 1] = 1.0
+    sz = np.diag([-1.0, 1.0] + [0.0] * (dim - 2)).astype(complex)
+    return [(r, L) for r, L in ((rates.gamma_decay, sm), (rates.kappa_dephase, sz)) if r]
 
 
 def two_qubit_collapse(rates: DecoherenceRates):
@@ -322,19 +316,9 @@ def two_qubit_collapse(rates: DecoherenceRates):
     the kept levels; exact, because none of them raises k_a + k_b.
     """
     kept = [3 * a + b for a, b in LEVELS]
-    kept = np.ix_(kept, kept)
-    I3 = np.eye(3, dtype=complex)
-    sm = np.zeros((3, 3), dtype=complex)
-    sm[0, 1] = 1.0
-    sz = np.diag([-1.0, 1.0, 0.0]).astype(complex)
-    ops = []
-    if rates.gamma_decay:
-        ops.append((rates.gamma_decay, np.kron(sm, I3)[kept]))
-        ops.append((rates.gamma_decay, np.kron(I3, sm)[kept]))
-    if rates.kappa_dephase:
-        ops.append((rates.kappa_dephase, np.kron(sz, I3)[kept]))
-        ops.append((rates.kappa_dephase, np.kron(I3, sz)[kept]))
-    return ops
+    kept, I3 = np.ix_(kept, kept), np.eye(3, dtype=complex)
+    return [(r, np.kron(*ops)[kept])
+            for r, L in qubit_collapse(rates, 3) for ops in ((L, I3), (I3, L))]
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +364,11 @@ def _rk4_increment(A1, A2, A3, h):
     k3 = A2 @ F
     np.multiply(k3, h, out=F)
     ones += 1.0
-    k4 = A3 @ F
     k2 *= 2  # A1 + 2 k2 + 2 k3 + k4, summed in that order
     k2 += A1
     k3 *= 2
     k2 += k3
-    k2 += k4
+    k2 += np.matmul(A3, F, out=k3)  # k4, in k3's buffer
     k2 *= h / 6
     return k2
 
@@ -398,57 +381,58 @@ def _then(E2, E1):
     return E
 
 
-def _compose(E):
-    """Product of the maps I + E[k] over the first axis, later maps to the left."""
-    while len(E) > 1:
-        paired = _then(E[1::2], E[:-1:2])
-        E = np.concatenate([paired, E[-1:]]) if len(E) % 2 else paired
-    return E[0]
-
-
 def _interval_maps(E, stride):
-    """Maps from the first step to the end of each ``stride``-step record interval,
-    as running products by doubling; zero maps (identities) pad a short last one.
-    ``E`` may be overwritten."""
+    """Maps from the first step to the end of each ``stride``-step record interval:
+    the maps of each interval composed by a pairwise tree (later maps to the
+    left), then running products by doubling; zero maps (identities) pad a
+    short last interval.  ``E`` may be overwritten."""
     s = min(stride, len(E))
     if len(E) % s:
         E = np.concatenate([E, np.zeros((-len(E) % s,) + E.shape[1:], dtype=E.dtype)])
-    P = _compose(E.reshape((-1, s) + E.shape[1:]).swapaxes(0, 1))
-    k = 1
+    E = E.reshape((-1, s) + E.shape[1:]).swapaxes(0, 1)
+    while len(E) > 1:
+        paired = _then(E[1::2], E[:-1:2])
+        E = np.concatenate([paired, E[-1:]]) if len(E) % 2 else paired
+    P, k = E[0], 1
     while k < len(P):
         P[k:] = _then(P[k:], P[:-k])
         k *= 2
     return P
 
 
-def _evolve(grid, H, y0, record_stride, generator):
-    """Fixed-step RK4 of y' = A(t) y under the real generator A = generator(H),
-    H sampled on ``grid``: the states at the record times, shape
-    (n_records, *batch, n), or the final state alone without a stride.
+def _chunk_steps(n, width):
+    """Steps per chunk of n x n generators (two float64 samples a step) on ``width`` points."""
+    return max(_MIN_CHUNK_STEPS, _CHUNK_BYTES // (16 * n * n * width))
+
+
+def _evolve(grid, X, y0, record_stride, generator):
+    """Fixed-step RK4 of y' = A(t) y under the real generator A = generator(X),
+    X the tracks of H on ``grid``, (n_samples, *batch, m): the states at the
+    record times, shape (n_records, *batch, n), or the final state alone.
 
     States lie on the last axis of ``y0``; its other axes broadcast against
-    the batch axes of the Hamiltonian samples.  A complex state evolves as
-    two real columns, its real and imaginary parts.
+    the batch axes of X.  A complex state evolves as two real columns.
     """
     ts, n_steps, h = grid
-    hb = H.shape[1:-2]
+    hb = X.shape[1:-1]
     batch = np.broadcast_shapes(hb, y0.shape[:-1])
-    H = H.reshape(H.shape[:1] + (1,) * (len(batch) - len(hb)) + H.shape[1:])
+    X = X.reshape(X.shape[:1] + (1,) * (len(batch) - len(hb)) + X.shape[1:])
     y = np.broadcast_to(y0, batch + y0.shape[-1:])
     split = np.iscomplexobj(y)
     Y = np.stack([y.real, y.imag], axis=-1) if split else y[..., None]
     n = y.shape[-1]
-    # chunks hold whole record intervals, or split one that exceeds the budget;
-    # a step reads two float64 generator samples
+    # chunks hold whole record intervals, or split one longer than a chunk
     stride = record_stride or n_steps
-    c = max(1, _CHUNK_BYTES // (16 * n * n * math.prod(hb)))
+    c = _chunk_steps(n, math.prod(hb))
     c = c // stride * stride or c
     period = max(c, stride)
     starts = [k for p in range(0, n_steps, period) for k in range(p, min(p + period, n_steps), c)]
     records = [Y[None]]
     for k0, k1 in zip(starts, starts[1:] + [n_steps]):
-        A = generator(H[2 * k0:2 * k1 + 1])
-        P = _interval_maps(_rk4_increment(A[:-1:2], A[1::2], A[2::2], h), stride)
+        A = generator(X[2 * k0:2 * k1 + 1])
+        E = _rk4_increment(A[:-1:2], A[1::2], A[2::2], h)
+        del A  # freed before the maps are composed
+        P = _interval_maps(E, stride)
         Ys = Y + P @ Y
         steps = k0 + np.minimum(np.arange(1, len(P) + 1) * stride, k1 - k0)
         Y = Ys[-1]
@@ -457,15 +441,15 @@ def _evolve(grid, H, y0, record_stride, generator):
     return Ys[..., 0] + 1j * Ys[..., 1] if split else Ys[..., 0]
 
 
-def _evolve_sectors(grid, H, coords, record_stride, sectors, generator):
+def _evolve_sectors(grid, X, coords, record_stride, sectors, generator):
     """Each closed sector ``keep`` of the coordinates evolves on its own under
     ``generator(keep)``; a sector whose initial coordinates are all zero is
     not evolved and stays exactly zero.  The evolved coordinates come in the
     order of ``np.concatenate(sectors)``."""
     ts, n_steps, _ = grid
     times = ts[2 * np.r_[0:n_steps:record_stride, n_steps]] if record_stride else ts[-1:]
-    shape = (len(times),) + np.broadcast_shapes(H.shape[1:-2], coords.shape[:-1])
-    parts = [_evolve(grid, H, coords[..., keep], record_stride, generator(keep))
+    shape = (len(times),) + np.broadcast_shapes(X.shape[1:-1], coords.shape[:-1])
+    parts = [_evolve(grid, X, coords[..., keep], record_stride, generator(keep))
              if coords[..., keep].any() else np.zeros(shape + keep.shape, dtype=coords.dtype)
              for keep in sectors]
     states = np.concatenate(parts, axis=-1)
@@ -520,26 +504,33 @@ def _dissipator(collapse, d):
     return (T @ D.transpose(0, 2, 1, 3).reshape(d * d, d * d) @ T.conj().T).real
 
 
-def _liouvillian(D, d, on, keep):
-    """Builder of the real generator A(t) = D + sum_nu h_nu(t) C[nu], h = Re(T vec H),
-    on the sorted basis indices ``keep`` of a closed sector (``_sectors``).
-
-    The sum runs over the nu whose H[i, j] or H[j, i] (nu = d i + j) is an
-    entry of ``on``, the (d, d) entries of H that may be nonzero; the terms
-    it leaves out are exact zeros.  h is one real product: the (real,
-    imaginary) pairs of vec H against the rows (Re T, -Im T) of each entry."""
+def _hermitian_tracks(H, active):
+    """Tracks h_nu = Re Tr(B_nu H) of the samples H for the nu in ``active``: vec H's
+    (Re, Im) pairs times rows (Re T, -Im T), in blocks that keep one BLAS thread."""
+    d = H.shape[-1]
     T = _hermitian_basis(d)
-    active = np.flatnonzero((on | on.T).ravel())
     R = np.stack([T.real.T, -T.imag.T], axis=1).reshape(2 * d * d, d * d).take(active, axis=1)
+    X = H.reshape(-1, d * d).view(float)
+    h = np.empty((len(X), len(active)))
+    rows = max(1, _CHUNK_BYTES // X[0].nbytes)
+    for k in range(0, len(X), rows):
+        np.matmul(X[k:k + rows], R, out=h[k:k + rows])
+    return h.reshape(H.shape[:-2] + (len(active),))
+
+
+def _liouvillian(D, d, active, keep):
+    """Builder of the real generator A(t) = D + sum_nu h_nu(t) C[nu] from the
+    tracks h of the basis indices ``active``, on the sorted basis indices
+    ``keep`` of a closed sector (``_sectors``).  The sum runs over the nu of
+    H's nonzero entries; the terms it leaves out are exact zeros."""
     n = len(keep)
     D = D[np.ix_(keep, keep)].ravel()
     C = _commutator_generators(d)[np.ix_(active, keep, keep)].reshape(len(active), n * n)
 
-    def generator(H):
-        h = H.reshape(-1, d * d).view(float) @ R
-        A = h @ C
+    def generator(h):
+        A = h.reshape(math.prod(h.shape[:-1]), len(active)) @ C
         A += D
-        return A.reshape(H.shape[:-2] + (n, n))
+        return A.reshape(h.shape[:-1] + (n, n))
 
     return generator
 
@@ -557,14 +548,15 @@ def _ket_generator(d, keep):
     (x, y): [[Im H, Re H], [-Re H, Im H]], which is -iH written for x and y,
     on the coordinates ``keep`` (x and y of the levels of a closed sector).
 
-    Every entry reads one float of H, so the block is a gather and a sign."""
+    Every entry reads one float of the (Re, Im) pairs of vec H, so the block
+    is a gather and a sign."""
     part, level = np.divmod(keep, d)
     same = part[:, None] == part[None, :]
     read = 2 * (d * level[:, None] + level[None, :]) + same  # Im H on the diagonal blocks
     sign = np.where(part[:, None] > part[None, :], -1.0, 1.0)
 
-    def generator(H):
-        return H.reshape(H.shape[:-2] + (d * d,)).view(float)[..., read] * sign
+    def generator(X):
+        return X[..., read] * sign
 
     return generator
 
@@ -630,8 +622,11 @@ def evolve_lindblad(hamiltonian, rho0, collapse=(), t_span=None, dt=DEFAULT_DT,
     H = np.asarray(hamiltonian(grid[0]), dtype=complex)
     D = _dissipator(collapse, d)
     sectors, on = _sectors(H, d, _liouvillian_link(D, d))
-    res = _evolve_sectors(grid, H, coords, record_stride, sectors,
-                          functools.partial(_liouvillian, D, d, on))
+    active = np.flatnonzero((on | on.T).ravel())  # nu = d i + j of H's nonzero entries
+    h = _hermitian_tracks(H, active)
+    del H  # the chunks read only the tracks
+    res = _evolve_sectors(grid, h, coords, record_stride, sectors,
+                          functools.partial(_liouvillian, D, d, active))
     states = res.states @ T.conj()[np.concatenate(sectors)]
     res.states = states.reshape(states.shape[:-1] + (d, d))
     return res
@@ -650,7 +645,8 @@ def evolve_schrodinger(hamiltonian, psi0, t_span, dt=DEFAULT_DT,
     grid = _half_step_grid(t_span, dt)
     H = np.asarray(hamiltonian(grid[0]), dtype=complex)
     sectors = [np.concatenate([keep, d + keep]) for keep in _sectors(H, d, lambda on: on)[0]]
-    res = _evolve_sectors(grid, H, np.concatenate([psi0.real, psi0.imag], axis=-1),
+    X = H.reshape(H.shape[:-2] + (d * d,)).view(float)
+    res = _evolve_sectors(grid, X, np.concatenate([psi0.real, psi0.imag], axis=-1),
                           record_stride, sectors, functools.partial(_ket_generator, d))
     coords = np.empty_like(res.states)
     coords[..., np.concatenate(sectors)] = res.states

@@ -11,7 +11,7 @@ azimuth window, so no schedule can change it.
 
 The search is a multi-start Nelder-Mead simplex, run by ``_nelder_mead``: a
 port of scipy's default unbounded rules, so ``optimize`` loads no scipy
-module.  scipy is used here only by ``invert_bessel_j1`` (for ``j1``).
+module; nor does ``invert_bessel_j1``, which runs on the series of J1.
 """
 
 from __future__ import annotations
@@ -30,29 +30,42 @@ from .paths import (
     beta_schedule,
 )
 
-# location of the first maximum of J1 and the value there, float(j1(J1_ARGMAX))
-# written out so that importing geogate does not load scipy
+# location of the first maximum of J1 and the value there, float(scipy.special.j1(J1_ARGMAX))
 J1_ARGMAX = 1.8411837813406593
 J1_MAX = 0.5818652242815964
 
+# J1(x) = (x/2) sum_k a_k u^k, J1'(x) = sum_k (k + 1/2) a_k u^k, u = -x^2/4 and
+# a_k = 1/(k! (k+1)!) (Abramowitz and Stegun 9.1.10), 14 terms, highest power first
+_J1_SERIES = np.array([[[1 / n], [(2 * k + 1) / (2 * n)]] for k in reversed(range(14))
+                       for n in [math.factorial(k) * math.factorial(k + 1)]])
+
+
+def _j1_and_derivative(x):
+    """J1 and J1' at ``x`` from the series, both polynomials in one Horner pass."""
+    u = -0.25 * x * x
+    acc = _J1_SERIES[0] * u + _J1_SERIES[1]
+    for a in _J1_SERIES[2:]:
+        acc *= u
+        acc += a
+    return 0.5 * x * acc[0], acc[1]
+
 
 def invert_bessel_j1(y, tol: float = 1e-12):
-    """Unique x in [0, argmax) with J1(x) = y, by bracketed bisection."""
-    from scipy.special import j1
-
+    """Unique x in [0, J1_ARGMAX] with J1(x) = y, by Newton steps until none exceeds
+    ``tol``.  J1 rises and is concave on the branch and J1(2y) <= y, so the steps
+    from x = 2y climb to the root; a step the rounding makes negative counts as
+    zero, and x stops at J1_ARGMAX, where J1' vanishes and steps halve the gap."""
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     vals = np.atleast_1d(y)
     if np.any(vals < 0.0) or np.any(vals > J1_MAX):
         raise ValueError(f"value outside the invertible branch [0, {J1_MAX:.6f}]")
-    lo = np.zeros_like(vals)
-    hi = np.full_like(vals, J1_ARGMAX)
-    while np.max(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        below = j1(mid) < vals
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    x = 0.5 * (lo + hi)
+    x = 2 * vals
+    step = np.inf
+    while np.max(step, initial=0.0) > tol:
+        j, dj = _j1_and_derivative(x)
+        step = np.maximum(vals - j, 0.0) / np.maximum(dj, np.finfo(float).tiny)
+        x = np.minimum(x + step, J1_ARGMAX)
     return float(x[0]) if scalar else x
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -336,6 +337,20 @@ OUT_OF_RANGE = [
     ("simulate", {"gate": "pi8", "gamma_khz": -3}, "gamma_khz", "at least 0, got -3"),
     ("scan", {"gate": "pi8", "kappa_khz": -0.5}, "kappa_khz", "at least 0, got -0.5"),
     ("two-qubit", {"gamma_khz": 3.0, "kappa_khz": -3.0}, "kappa_khz", "at least 0, got -3.0"),
+    ("synth", {"gate": "pi8", "omega0_mhz": -30}, "omega0_mhz", "greater than 0, got -30"),
+    ("optimize", {"gate": "pi8", "omega0_mhz": 0.0}, "omega0_mhz", "greater than 0, got 0.0"),
+]
+
+# Python's JSON reader accepts NaN, Infinity, -Infinity and integers of any size
+NON_FINITE = [
+    ("synth", {"gate": "pi8", "omega0_mhz": math.nan}, "omega0_mhz", "a number", "NaN"),
+    ("simulate", {"gate": "pi8", "gamma_khz": math.inf}, "gamma_khz", "a number", "Infinity"),
+    ("scan", {"gate": "pi8", "scan": {"min": -math.inf}}, "min", "a number", "-Infinity"),
+    ("two-qubit", {"two_qubit": {"g_mhz": math.nan}}, "g_mhz", "a number", "NaN"),
+    ("simulate", {"gate": "pi8", "coeffs": [0.1, math.nan]}, "coeffs", "a list of numbers",
+     "[0.1, NaN]"),
+    ("optimize", {"gate": "pi8", "omega0_mhz": 10 ** 400}, "omega0_mhz", "a number",
+     str(10 ** 400)),  # an integer beyond every float
 ]
 
 
@@ -440,6 +455,31 @@ class TestErrors:
         assert payload["message"] == f"config key {key!r} must be {bound}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, payload, key, kind, got", NON_FINITE,
+                             ids=[f"{c[0]}-{c[2]}" for c in NON_FINITE])
+    def test_non_finite_value_names_the_key(self, tmp_path, capsys, no_work, command,
+                                            payload, key, kind, got):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "finite.json", {**payload, "out_dir": str(out)})
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        payload = json.loads(err[0][len("error: "):])
+        assert payload["type"] == "ConfigError"
+        assert payload["message"] == f"config key {key!r} must be {kind}, got {got}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "scan", "optimize"])
+    def test_non_positive_omega0_flag_names_the_flag(self, tmp_path, capsys, no_work, command):
+        out = tmp_path / "out"
+        assert main([command, "--gate", "pi8", "--omega0", "-0.1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0][len("error: "):])
+        assert payload == {"type": "ConfigError",
+                           "message": "flag --omega0 must be greater than 0, got -0.1"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, dt", [("simulate", "-0.01"), ("scan", "0"),
                                              ("two-qubit", "0")])
     def test_non_positive_dt_flag_names_the_flag(self, tmp_path, capsys, no_work, command, dt):
@@ -510,12 +550,13 @@ class TestStartup:
         for out in ("synth", "sim", "scan", "opt"):
             assert (tmp_path / out / "manifest.json").is_file()
 
-    def test_two_qubit_loads_scipy_special_from_a_fresh_process(self, tmp_path):
+    def test_two_qubit_never_loads_scipy(self, tmp_path):
+        # the Bessel inversion of the drive runs on the series of J1, not on scipy's j1
         cfg = write_config(tmp_path, "cfg.json", {
             "dt_ns": 0.02, "grid_points": 2001, "two_qubit": {"model": "full"},
             "out_dir": str(tmp_path / "out"),
         })
-        assert "scipy.special" in scipy_loaded_by([["two-qubit", "--config", cfg]], tmp_path)
+        assert scipy_loaded_by([["two-qubit", "--config", cfg]], tmp_path) == []
         assert (tmp_path / "out" / "manifest.json").is_file()
 
 

@@ -29,6 +29,7 @@ from geogate.dynamics import (
     two_qubit_full_hamiltonian,
     IDX_01, IDX_02, IDX_10, IDX_11, IDX_20, LEVELS,
 )
+from geogate.fidelity import fidelity_dynamics
 from geogate.paths import sample_trajectory
 from geogate.pulses import (
     CATALOG,
@@ -169,8 +170,8 @@ def two_qubit_inputs():
 
 
 def chunk_steps(d):
-    """Steps per chunk of the real d^2 x d^2 generator: two float64 samples per step."""
-    return dynamics._CHUNK_BYTES // (2 * np.dtype(float).itemsize * d ** 4)
+    """Steps per chunk of the real d^2 x d^2 generator of one unbatched density matrix."""
+    return dynamics._chunk_steps(d * d, 1)
 
 
 class TestRK4Core:
@@ -233,7 +234,7 @@ class TestRK4Core:
         ref = reference_rk4(sampler, rho0, lindblad_rhs(collapse), (0.0, pulse.tau), 0.005)
         assert np.abs(got - ref).max() <= 1e-12
 
-    # 1 and 6 steps fit in one chunk of the d = 3 generator budget; 300 spans several
+    # 1 and 6 steps fit in one chunk of the d = 3 generator; 300 spans three
     @pytest.mark.parametrize("stride", [1, 6, 300])
     def test_record_stride_not_dividing_steps(self, stride):
         pulse = drag_correct(synthesize(CATALOG["pi8"], grid_points=801), ANH)
@@ -241,6 +242,7 @@ class TestRK4Core:
         n_steps = round(pulse.tau / 0.01)
         assert n_steps % stride != 0 or stride == 1
         assert (stride < chunk_steps(3)) == (stride < 300)
+        assert 2 * chunk_steps(3) < 300 < 3 * chunk_steps(3)
         collapse = qubit_collapse(STRONG, 3)
         rho0 = ket_dm([1.0, 1.0, 0.0])
         got = evolve_lindblad(sampler, rho0, collapse, (0.0, pulse.tau), dt=0.01,
@@ -667,9 +669,17 @@ def vec_liouvillian(H, collapse):
     return A
 
 
+def support_liouvillian(D, d, on, keep):
+    """``_liouvillian`` on the tracks of the coordinates of the entries ``on``,
+    as a builder that takes the samples H."""
+    active = np.flatnonzero((on | on.T).ravel())
+    generator = dynamics._liouvillian(D, d, active, keep)
+    return lambda H: generator(dynamics._hermitian_tracks(H, active))
+
+
 def full_sum_liouvillian(D, d, keep):
     """``_liouvillian`` with every coordinate of H in the sum over nu."""
-    return dynamics._liouvillian(D, d, np.ones((d, d), dtype=bool), keep)
+    return support_liouvillian(D, d, np.ones((d, d), dtype=bool), keep)
 
 
 COLLAPSE_SETS = [(2, "qubit"), (3, "qubit"), (6, "qubit"), (6, "two_qubit")]
@@ -796,9 +806,10 @@ class TestExcitationSectors:
         T = dynamics._hermitian_basis(6)
         for rates in (STRONG, DecoherenceRates()):
             collapse = two_qubit_collapse(rates)
-            full = full_sum_liouvillian(dynamics._dissipator(collapse, 6), 6, np.arange(36))
-            ref = dynamics._evolve(grid, sampler(grid[0]), basis.reshape(16, 36) @ T.T, None,
-                                   full)[0]
+            every = np.arange(36)
+            full = dynamics._liouvillian(dynamics._dissipator(collapse, 6), 6, every, every)
+            ref = dynamics._evolve(grid, dynamics._hermitian_tracks(sampler(grid[0]), every),
+                                   basis.reshape(16, 36) @ T.T, None, full)[0]
             ref = (ref @ T.conj()).reshape(16, 6, 6)
             got = evolve_lindblad(sampler, basis, collapse, (0.0, drive.tau), 0.02).final
             assert got.shape == (16, 6, 6)
@@ -877,6 +888,11 @@ def ket_sectors(H):
     return dynamics._sectors(H, H.shape[-1], lambda on: on)[0]
 
 
+def ket_tracks(H):
+    """The (real, imaginary) pairs of vec H that ``_ket_generator`` reads."""
+    return H.reshape(H.shape[:-2] + (H.shape[-1] ** 2,)).view(float)
+
+
 def random_drive(seed, d):
     """H0 + cos(w t) H1 with random Hermitian H0, H1 and a random w."""
     rng = np.random.default_rng(seed)
@@ -922,10 +938,11 @@ class TestKetCoordinates:
     def test_generator_is_minus_i_h_for_real_and_imaginary_parts(self):
         rng = np.random.default_rng(5)
         H = np.stack([random_hermitian(rng, 3) for _ in range(4)])
-        A = dynamics._ket_generator(3, np.arange(6))(H)
+        A = dynamics._ket_generator(3, np.arange(6))(ket_tracks(H))
         assert np.array_equal(A, np.block([[H.imag, H.real], [-H.real, H.imag]]))
         keep = np.array([0, 2, 3, 5])  # levels 0 and 2
-        assert np.array_equal(dynamics._ket_generator(3, keep)(H), A[:, keep][:, :, keep])
+        assert np.array_equal(dynamics._ket_generator(3, keep)(ket_tracks(H)),
+                              A[:, keep][:, :, keep])
         psi = rng.normal(size=3) + 1j * rng.normal(size=3)
         dz = A[0] @ np.concatenate([psi.real, psi.imag])
         assert np.abs(dz[:3] + 1j * dz[3:] - (-1j * H[0] @ psi)).max() <= 1e-14
@@ -982,6 +999,69 @@ class TestKetCoordinates:
         A += D.ravel()
         got = full_sum_liouvillian(D, d, np.arange(d * d))(H)
         assert np.array_equal(got, A.reshape(-1, d * d, d * d))
+
+
+def scan_batch_sampler(pulse, points=11):
+    """The qubit drive with a point axis of amplitude errors, as a robustness scan batches it."""
+    eps = np.linspace(-0.1, 0.1, points)
+    return lambda ts: _drive_hamiltonian(pulse, ts, eps, 0.0)[:, :, None]
+
+
+def computational_basis(d, levels):
+    """|a><b| for a, b in ``levels``, shape (len(levels)^2, d, d)."""
+    basis = np.zeros((len(levels) ** 2, d, d), dtype=complex)
+    for n, (a, b) in enumerate((a, b) for a in levels for b in levels):
+        basis[n, a, b] = 1.0
+    return basis
+
+
+class TestChunks:
+    """Chunking changes how the step maps are grouped, not what they give."""
+
+    def coupled_channel(self):
+        params, drive = two_qubit_drive(grid_points=4001)
+        return evolve_lindblad(two_qubit_full_hamiltonian(params, drive),
+                               computational_basis(6, COMPUTATIONAL_IDX),
+                               two_qubit_collapse(STRONG), (0.0, drive.tau), dt=0.02).final
+
+    def transmon_trace(self):
+        pulse = drag_correct(synthesize(CATALOG["pi8"]), ANH)
+        trace = fidelity_dynamics(pulse, [1.0, 1.0], model="three_level", anharmonicity=ANH,
+                                  rates=STRONG, dt=0.01, record_stride=20)
+        return np.concatenate([trace.fidelity, trace.populations.ravel(), trace.times])
+
+    def scan_batch(self):
+        pulse = synthesize(CATALOG["pi8"])
+        basis = computational_basis(2, (0, 1))
+        return evolve_lindblad(scan_batch_sampler(pulse), basis, qubit_collapse(STRONG, 2),
+                               (0.0, pulse.tau), dt=0.05).final
+
+    @pytest.mark.parametrize("steps", [1, 3, 7, 40])
+    @pytest.mark.parametrize("run", ["coupled_channel", "transmon_trace", "scan_batch"])
+    def test_a_few_steps_per_chunk_give_the_default_result(self, run, steps, monkeypatch):
+        default = getattr(self, run)()
+        monkeypatch.setattr(dynamics, "_chunk_steps", lambda n, width: steps)
+        forced = getattr(self, run)()
+        assert forced.shape == default.shape
+        assert np.abs(forced - default).max() <= 1e-12
+
+    def test_coupled_sectors_take_at_least_128_steps_per_chunk(self, monkeypatch):
+        chunks = {}
+
+        def spy(A1, A2, A3, h):
+            chunks.setdefault(A1.shape[-1], []).append(len(A1))
+            return increment(A1, A2, A3, h)
+
+        increment = dynamics._rk4_increment
+        monkeypatch.setattr(dynamics, "_rk4_increment", spy)
+        self.coupled_channel()
+        n_steps = _half_step_grid((0.0, two_qubit_drive()[1].tau), 0.02)[1]
+        assert sorted(chunks) == [6, 14, 16]  # the |K| = 2, 0 and 1 sectors
+        assert dynamics._MIN_CHUNK_STEPS == 128
+        for lengths in chunks.values():
+            assert sum(lengths) == n_steps
+            assert min(lengths[:-1]) >= 128
+        assert len(chunks[16]) == -(-n_steps // 128)  # the budget alone gave 32 steps
 
 
 def previous_rk4_increment(A1, A2, A3, h):
@@ -1048,10 +1128,10 @@ class TestKernelBits:
         D = dynamics._dissipator(qubit_collapse(STRONG, d), d)
         for keep in [np.arange(d * d)] + sectors:
             ref = previous_liouvillian(D, d, keep, H)
-            assert np.array_equal(dynamics._liouvillian(D, d, found, keep)(H), ref)
+            assert np.array_equal(support_liouvillian(D, d, found, keep)(H), ref)
             assert np.array_equal(full_sum_liouvillian(D, d, keep)(H), ref)
         first_block = np.abs(H[:rows]).max(axis=0) > 0
-        assert not np.array_equal(dynamics._liouvillian(D, d, first_block, np.arange(d * d))(H),
+        assert not np.array_equal(support_liouvillian(D, d, first_block, np.arange(d * d))(H),
                                   previous_liouvillian(D, d, np.arange(d * d), H))
 
     @pytest.mark.parametrize("rates", [STRONG, DecoherenceRates()], ids=["strong", "closed"])
@@ -1060,9 +1140,9 @@ class TestKernelBits:
         sampler = two_qubit_full_hamiltonian(params, drive)
         built = []
 
-        def spy(D, d, on, keep):
-            built.append(active_coordinates(on))
-            return generator(D, d, on, keep)
+        def spy(D, d, active, keep):
+            built.append(list(active))
+            return generator(D, d, active, keep)
 
         generator = dynamics._liouvillian
         monkeypatch.setattr(dynamics, "_liouvillian", spy)

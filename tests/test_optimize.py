@@ -1,3 +1,4 @@
+import importlib
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from geogate.optimize import (
     J1_MAX,
     OptimizationProblem,
     OptimizationResult,
+    _j1_and_derivative,
     _nelder_mead,
     invert_bessel_j1,
     objective,
@@ -114,7 +116,39 @@ class TestBesselJ1:
 
 class TestInvertBesselJ1:
     def test_zero(self):
-        assert invert_bessel_j1(0.0) == pytest.approx(0.0, abs=1e-12)
+        assert invert_bessel_j1(0.0) == 0.0
+        assert np.array_equal(invert_bessel_j1(np.zeros(3)), np.zeros(3))
+
+    def test_series_matches_scipy(self):
+        x = np.linspace(0.0, J1_ARGMAX, 10001)
+        j, dj = _j1_and_derivative(x)
+        assert np.abs(j - scipy_j1(x)).max() <= 4e-16
+        h = 1e-6  # J1' against a central difference of scipy's J1
+        assert np.abs(dj - (scipy_j1(x + h) - scipy_j1(x - h)) / (2 * h)).max() <= 1e-9
+
+    def test_round_trip_to_the_last_bits(self):
+        y = np.linspace(0.0, 0.999 * J1_MAX, 10001)
+        assert np.abs(scipy_j1(invert_bessel_j1(y)) - y).max() <= 1e-15
+
+    def test_branch_maximum(self):
+        # J1' vanishes at the root; the safeguarded steps still end there
+        x = invert_bessel_j1(J1_MAX)
+        assert math.isfinite(x) and abs(x - J1_ARGMAX) <= 1e-7
+        assert x <= J1_ARGMAX
+
+    def test_coupled_drive_takes_six_newton_steps(self, monkeypatch):
+        # the two-qubit drive's ratios g'/(2 sqrt(2) g) reach 0.5303
+        module = importlib.import_module("geogate.optimize")  # geogate.optimize is the function
+        calls = []
+
+        def spy(x):
+            calls.append(len(x))
+            return series(x)
+
+        series = module._j1_and_derivative
+        monkeypatch.setattr(module, "_j1_and_derivative", spy)
+        invert_bessel_j1(np.linspace(0.0, 0.5303300858899106, 4001))
+        assert calls == [4001] * 6
 
     def test_round_trip_at_unity(self):
         assert invert_bessel_j1(scipy_j1(1.0)) == pytest.approx(1.0, abs=1e-10)
