@@ -127,6 +127,13 @@ def _in_range(name, value, minimum, strict=False):
     return value
 
 
+def _positive_flag(name, value) -> float:
+    """The value of the number flag ``name``, which must be finite and above 0."""
+    if not math.isfinite(value):
+        raise ConfigError(f"flag {name} must be a finite number, got {value}")
+    return _in_range(f"flag {name}", value, 0, strict=True)
+
+
 def _number(config, key, default, minimum=None, strict=False) -> float:
     value = _typed(config, key, default, "a number", _is_number)
     if minimum is not None:
@@ -177,7 +184,7 @@ def _block(config, key) -> dict:
 def _budget(config, args) -> AmplitudeBudget:
     omega0 = _number(config, "omega0_mhz", 30.0, minimum=0, strict=True) * MHZ
     if getattr(args, "omega0", None) is not None:  # flag value already in rad/ns
-        omega0 = _in_range("flag --omega0", args.omega0, 0, strict=True)
+        omega0 = _positive_flag("--omega0", args.omega0)
     return AmplitudeBudget(omega0)
 
 
@@ -204,7 +211,7 @@ def _gate_name(config, args) -> str:
 def _dt(config, args, default=0.001) -> float:
     dt = _number(config, "dt_ns", default, minimum=0, strict=True)
     if getattr(args, "dt", None) is not None:
-        return _in_range("flag --dt", args.dt, 0, strict=True)
+        return _positive_flag("--dt", args.dt)
     return dt
 
 

@@ -65,17 +65,23 @@ coordinate it runs over all of them.  Complex coordinates such as those
 of |a><b| evolve as their real and imaginary columns.  H is read once
 into tracks, the real numbers the generators are built from per chunk of
 steps: h_nu of the summed nu for density matrices, after which the dense
-grid is released, and the (Re, Im) pairs of vec H for kets.  A chunk holds
-what a byte budget of generator samples allows, but at least 128 steps,
-as every chunk costs the same few dozen numpy calls.  The formula applied
-to the identity gives every step map of a chunk at once, held as its
-difference from the identity; a pairwise tree product composes them and
-the product acts on the states.  Chunks hold whole record intervals, so recorded
-states come from running products of the interval maps.
+grid is released, and the (Re, Im) pairs of vec H for kets.  The formula
+applied to the identity gives every step map of a chunk of steps at once,
+held as its difference from the identity; a pairwise tree product composes
+them and the product acts on the states.  Chunks hold whole record
+intervals, so recorded states come from running products of the interval
+maps.  A step whose three samples equal the previous step's bit for bit
+(``_fresh_steps``: the constant segments of a dynamical comparator; the
+shipped smooth pulses repeat none) reuses its map, so the generator and
+the formula run on the distinct steps only, and the tree composes each
+run of equal operand pairs once.  A chunk builds what a byte budget of
+generator samples allows, but at least 128 maps, as every chunk costs the
+same few dozen numpy calls.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
@@ -381,28 +387,119 @@ def _then(E2, E1):
     return E
 
 
-def _interval_maps(E, stride):
+def _runs(new):
+    """First entries of the runs that start where ``new`` is set (it is at 0),
+    and the run of each entry."""
+    first = np.flatnonzero(new)
+    return first, np.repeat(np.arange(len(first)), np.diff(first, append=len(new)))
+
+
+def _then_once(E, left, right):
+    """``E`` with each distinct product E[left] E[right] appended once, and the
+    ids of the products.  Equal pairs come in runs that are consecutive in time
+    (column-major order), so each pair is compared with its neighbour only."""
+    a, b = left.ravel("F"), right.ravel("F")
+    new = np.empty(len(a), dtype=bool)
+    new[0] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    new[1:] |= b[1:] != b[:-1]
+    first, ids = _runs(new)
+    ids += len(E)
+    return np.concatenate([E, _then(E[a[first]], E[b[first]])]), ids.reshape(left.shape, order="F")
+
+
+def _interval_maps(E, stride, ids=None):
     """Maps from the first step to the end of each ``stride``-step record interval:
     the maps of each interval composed by a pairwise tree (later maps to the
     left), then running products by doubling; zero maps (identities) pad a
-    short last interval.  ``E`` may be overwritten."""
-    s = min(stride, len(E))
-    if len(E) % s:
-        E = np.concatenate([E, np.zeros((-len(E) % s,) + E.shape[1:], dtype=E.dtype)])
-    E = E.reshape((-1, s) + E.shape[1:]).swapaxes(0, 1)
-    while len(E) > 1:
-        paired = _then(E[1::2], E[:-1:2])
-        E = np.concatenate([paired, E[-1:]]) if len(E) % 2 else paired
-    P, k = E[0], 1
+    short last interval.  ``E`` may be overwritten.
+
+    With ``ids``, step k's map is E[ids[k]] and equal ids mean equal maps: each
+    level of the tree and of the doubling composes every run of equal operand
+    pairs once, which gives the maps of the plain tree on E[ids] bit for bit."""
+    n = len(E) if ids is None else len(ids)
+    s = min(stride, n)
+    if ids is None:
+        if n % s:
+            E = np.concatenate([E, np.zeros((-n % s,) + E.shape[1:], dtype=E.dtype)])
+        X, then = E.reshape((-1, s) + E.shape[1:]).swapaxes(0, 1), _then
+    else:
+        if n % s:
+            E = np.concatenate([E, np.zeros_like(E[:1])])
+            ids = np.concatenate([ids, np.full(-n % s, len(E) - 1)])
+        X = ids.reshape(-1, s).T  # the tree runs on the ids
+
+        def then(left, right):
+            nonlocal E
+            E, out = _then_once(E, left, right)
+            return out
+    while len(X) > 1:
+        paired = then(X[1::2], X[:-1:2])
+        X = np.concatenate([paired, X[-1:]]) if len(X) % 2 else paired
+    P, k = X[0], 1
     while k < len(P):
-        P[k:] = _then(P[k:], P[:-k])
+        P[k:] = then(P[k:], P[:-k])
         k *= 2
-    return P
+    return P if ids is None else E[P]
 
 
 def _chunk_steps(n, width):
-    """Steps per chunk of n x n generators (two float64 samples a step) on ``width`` points."""
+    """Step maps built per chunk of n x n generators (two float64 samples a
+    step) on ``width`` points."""
     return max(_MIN_CHUNK_STEPS, _CHUNK_BYTES // (16 * n * n * width))
+
+
+def _fresh_steps(X, n_steps):
+    """Flags of the steps whose samples X[2k], X[2k + 1], X[2k + 2] differ from
+    the previous step's in some bit (step 0 is flagged): a step that is not
+    flagged repeats the one before, -0.0 is not 0.0 and a NaN never matches.
+    Rows are compared as int64 words: in every row the first word that changes
+    mid-grid, then every word from the first to the last row where that one
+    matched within each block of rows of the chunk budget."""
+    V = np.ascontiguousarray(X.reshape(len(X), -1)) if X[0].size else np.zeros((len(X), 1))
+    bits = V.view(np.int64)
+    m = (len(V) - 3) // 2
+    moved = np.flatnonzero(bits[m + 2] != bits[m])
+    j = moved[0] if len(moved) else 0
+    same = bits[2:, j] == bits[:-2, j]
+    if not same.any():
+        return np.ones(n_steps, dtype=bool)
+    rows = max(1, _CHUNK_BYTES // V[0].nbytes)
+    for k in range(0, len(same), rows):
+        hit = np.flatnonzero(same[k:k + rows])
+        if len(hit):
+            a, b = k + hit[0], k + hit[-1] + 1
+            same[a:b] &= (bits[a + 2:b + 2] == bits[a:b]).all(axis=1)
+    if same.any() and math.isnan(V.max()):
+        same &= ~np.isnan(V[2:]).any(axis=1)
+    fresh = np.ones(n_steps, dtype=bool)
+    fresh[1 + np.flatnonzero(same[:-2:2] & same[1:-1:2] & same[2::2])] = False
+    return fresh
+
+
+def _chunk_starts(n_steps, stride, c, fresh):
+    """First steps of the chunks.  A chunk builds at most ``c`` step maps, its
+    first step's and those of the ``fresh`` steps (``_fresh_steps``), in whole
+    record intervals and at most ``c`` of them, or it splits an interval of
+    more than ``c`` distinct steps.  When every step is fresh that is every c
+    steps."""
+    c = c // stride * stride or c
+    if fresh.all():
+        period = max(c, stride)
+        return [k for p in range(0, n_steps, period) for k in range(p, min(p + period, n_steps), c)]
+    F = np.flatnonzero(fresh).tolist()
+    starts, k = [], 0
+    while k < n_steps:
+        starts.append(k)
+        i = bisect.bisect_left(F, k)
+        last = i + c - (i == len(F) or F[i] != k)  # the first fresh step left out
+        e = F[last] if last < len(F) else n_steps
+        if stride <= c:
+            e = min(e, k + c * stride)
+            k = e if e == n_steps else e // stride * stride
+        else:
+            k = min(e, k // stride * stride + stride)
+    return starts
 
 
 def _evolve(grid, X, y0, record_stride, generator):
@@ -411,7 +508,8 @@ def _evolve(grid, X, y0, record_stride, generator):
     record times, shape (n_records, *batch, n), or the final state alone.
 
     States lie on the last axis of ``y0``; its other axes broadcast against
-    the batch axes of X.  A complex state evolves as two real columns.
+    the batch axes of X.  A complex state evolves as two real columns.  A step
+    that repeats the one before reuses its map.
     """
     ts, n_steps, h = grid
     hb = X.shape[1:-1]
@@ -423,16 +521,23 @@ def _evolve(grid, X, y0, record_stride, generator):
     n = y.shape[-1]
     # chunks hold whole record intervals, or split one longer than a chunk
     stride = record_stride or n_steps
-    c = _chunk_steps(n, math.prod(hb))
-    c = c // stride * stride or c
-    period = max(c, stride)
-    starts = [k for p in range(0, n_steps, period) for k in range(p, min(p + period, n_steps), c)]
+    fresh = _fresh_steps(X, n_steps)
+    starts = _chunk_starts(n_steps, stride, _chunk_steps(n, math.prod(hb)), fresh)
+    memo = not fresh.all()
     records = [Y[None]]
     for k0, k1 in zip(starts, starts[1:] + [n_steps]):
-        A = generator(X[2 * k0:2 * k1 + 1])
-        E = _rk4_increment(A[:-1:2], A[1::2], A[2::2], h)
+        if memo and not fresh[k0 + 1:k1].all():
+            new = fresh[k0:k1].copy()
+            new[0] = True
+            built, ids = _runs(new)
+            A = generator(X[2 * (k0 + built) + np.arange(3)[:, None]])
+            E = _rk4_increment(*A, h)
+        else:
+            A = generator(X[2 * k0:2 * k1 + 1])
+            E = _rk4_increment(A[:-1:2], A[1::2], A[2::2], h)
+            ids = None
         del A  # freed before the maps are composed
-        P = _interval_maps(E, stride)
+        P = _interval_maps(E, stride, ids)
         Ys = Y + P @ Y
         steps = k0 + np.minimum(np.arange(1, len(P) + 1) * stride, k1 - k0)
         Y = Ys[-1]

@@ -492,6 +492,22 @@ class TestErrors:
         assert payload["message"] == f"flag --dt must be greater than 0, got {float(dt)}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("command, flag", [("simulate", "--dt"), ("scan", "--dt"),
+                                               ("two-qubit", "--dt"), ("synth", "--omega0"),
+                                               ("scan", "--omega0"), ("optimize", "--omega0")])
+    def test_non_finite_flag_names_the_flag(self, tmp_path, capsys, no_work, command, flag,
+                                            value):
+        out = tmp_path / "out"
+        # "--dt=-inf": argparse reads a lone "-inf" as an option
+        assert main([command, "--gate", "pi8", f"{flag}={value}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        payload = json.loads(err[0][len("error: "):])
+        assert payload == {"type": "ConfigError",
+                           "message": f"flag {flag} must be a finite number, got {float(value)}"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("variants", [["geometrc"], ["geometric", "dynamic"], []])
     def test_unknown_variant_names_the_key(self, tmp_path, capsys, no_work, variants):
         out = tmp_path / "out"

@@ -29,7 +29,7 @@ from geogate.dynamics import (
     two_qubit_full_hamiltonian,
     IDX_01, IDX_02, IDX_10, IDX_11, IDX_20, LEVELS,
 )
-from geogate.fidelity import fidelity_dynamics
+from geogate.fidelity import dynamical_comparator, fidelity_dynamics
 from geogate.paths import sample_trajectory
 from geogate.pulses import (
     CATALOG,
@@ -1036,8 +1036,20 @@ class TestChunks:
         return evolve_lindblad(scan_batch_sampler(pulse), basis, qubit_collapse(STRONG, 2),
                                (0.0, pulse.tau), dt=0.05).final
 
+    def comparator_batch(self, record_stride=None):
+        """The Hadamard comparator's constant segments: nearly every step repeats."""
+        pulse, _ = dynamical_comparator(CATALOG["hadamard"])
+        basis = computational_basis(2, (0, 1))
+        res = evolve_lindblad(scan_batch_sampler(pulse), basis, qubit_collapse(STRONG, 2),
+                              (0.0, pulse.tau), dt=0.05, record_stride=record_stride)
+        return res.states
+
+    def comparator_trace(self):
+        return self.comparator_batch(record_stride=20)
+
     @pytest.mark.parametrize("steps", [1, 3, 7, 40])
-    @pytest.mark.parametrize("run", ["coupled_channel", "transmon_trace", "scan_batch"])
+    @pytest.mark.parametrize("run", ["coupled_channel", "transmon_trace", "scan_batch",
+                                     "comparator_batch", "comparator_trace"])
     def test_a_few_steps_per_chunk_give_the_default_result(self, run, steps, monkeypatch):
         default = getattr(self, run)()
         monkeypatch.setattr(dynamics, "_chunk_steps", lambda n, width: steps)
@@ -1062,6 +1074,206 @@ class TestChunks:
             assert sum(lengths) == n_steps
             assert min(lengths[:-1]) >= 128
         assert len(chunks[16]) == -(-n_steps // 128)  # the budget alone gave 32 steps
+
+    @pytest.mark.parametrize("run", ["coupled_channel", "transmon_trace", "scan_batch"])
+    def test_distinct_steps_keep_the_chunks_of_the_plain_rule(self, run, monkeypatch):
+        seen = []
+
+        def spy(n_steps, stride, c, fresh):
+            seen.append(fresh.all())
+            starts = chunk_starts(n_steps, stride, c, fresh)
+            assert starts == plain_chunk_starts(n_steps, stride, c)
+            return starts
+
+        chunk_starts = dynamics._chunk_starts
+        monkeypatch.setattr(dynamics, "_chunk_starts", spy)
+        getattr(self, run)()
+        assert seen and all(seen)  # smooth drives repeat no step
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 5, 128, 300, 1001])
+    @pytest.mark.parametrize("stride", [1, 6, 20, 128, 300, 5000])
+    @pytest.mark.parametrize("c", [1, 7, 128, 512])
+    def test_plain_rule_without_repeats(self, n_steps, stride, c):
+        stride = min(stride, n_steps)  # as _evolve passes it for a final state alone
+        fresh = np.ones(n_steps, dtype=bool)
+        plain = plain_chunk_starts(n_steps, stride, c)
+        assert dynamics._chunk_starts(n_steps, stride, c, fresh) == plain
+        assert greedy_chunk_starts(n_steps, stride, c, fresh) == plain  # the same rule
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("stride", [1, 3, 20, 10_000])
+    @pytest.mark.parametrize("c", [1, 4, 40])
+    def test_repeats_stretch_chunks_over_distinct_steps(self, seed, stride, c):
+        rng = np.random.default_rng(seed)
+        n_steps = int(rng.integers(1, 400))
+        fresh = rng.random(n_steps) >= [0.0, 0.5, 0.9, 0.97, 0.99, 1.0][seed]
+        fresh[0] = True
+        stride = min(stride, n_steps)
+        starts = dynamics._chunk_starts(n_steps, stride, c, fresh)
+        assert starts == greedy_chunk_starts(n_steps, stride, c, fresh)
+        if not fresh[1:].any() and stride == n_steps:
+            assert len(starts) == 1
+
+
+def plain_chunk_starts(n_steps, stride, c):
+    """Chunks of c steps (whole record intervals), the rule for evolutions without repeats."""
+    c = c // stride * stride or c
+    period = max(c, stride)
+    return [k for p in range(0, n_steps, period) for k in range(p, min(p + period, n_steps), c)]
+
+
+def greedy_chunk_starts(n_steps, stride, c, fresh):
+    """Step-by-step reference: a chunk grows while it builds at most c maps (its first
+    step's and each fresh step's), in whole record intervals and at most c of them
+    when c holds an interval, else within one interval."""
+    c = c // stride * stride or c
+    starts, k = [], 0
+    while k < n_steps:
+        starts.append(k)
+        stop = min(n_steps, k + c * stride if stride <= c else (k // stride + 1) * stride)
+        built, end = 0, None
+        for j in range(k, stop):
+            built += j == k or fresh[j]
+            if built > c:
+                break
+            if stride > c or (j + 1) % stride == 0 or j + 1 == n_steps:
+                end = j + 1
+        k = end
+    return starts
+
+
+def reference_fresh_steps(X, n_steps):
+    """Step k is fresh unless its three sample rows repeat the previous step's byte
+    for byte, none of them holding a NaN."""
+    rows = X.reshape(len(X), -1)
+
+    def same(i):
+        return rows[i].tobytes() == rows[i - 2].tobytes() and not np.isnan(rows[i]).any()
+
+    return [k == 0 or not all(same(2 * k + d) for d in range(3)) for k in range(n_steps)]
+
+
+def plain_interval_maps(E, stride):
+    return dynamics._interval_maps(E.copy(), stride)
+
+
+class TestRepeatedSteps:
+    """A step whose samples repeat the previous step's reuses its map, bit for bit."""
+
+    def grid(self, runs, width=5, seed=0):
+        """Samples with the given run lengths of equal rows."""
+        rng = np.random.default_rng(seed)
+        return np.concatenate([np.repeat(rng.normal(size=(1, 2, width)), r, axis=0) for r in runs])
+
+    def test_runs_of_equal_samples(self):
+        X = self.grid([5, 7])  # 12 samples, rows 0-4 equal, rows 5-11 equal
+        X = np.concatenate([X, X[-1:]])  # 13 samples: 6 steps
+        fresh = dynamics._fresh_steps(X, 6)
+        # step k reads rows 2k..2k+2; it repeats k-1 when rows 2k-2..2k+2 lie in one run
+        assert fresh.tolist() == [True, False, True, True, False, False]
+
+    @pytest.mark.parametrize("column", [0, 3, 9])
+    def test_every_word_of_a_row_counts(self, column):
+        X = np.zeros((9, 2, 5))
+        X.reshape(9, -1)[6, column] = 1e-300
+        assert dynamics._fresh_steps(X, 4).tolist() == [True, False, True, True]
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_signed_zeros_are_distinct(self, column):
+        X = np.zeros((9, 3))
+        X[6, column] = -0.0
+        assert np.array_equal(X[6], X[4])  # equal as floats, not as bits
+        assert dynamics._fresh_steps(X, 4).tolist() == [True, False, True, True]
+
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_nan_samples_never_match(self, column):
+        X = np.ones((9, 3))
+        X[:, column] = np.nan  # the same NaN bits in every row
+        assert dynamics._fresh_steps(X, 4).all()
+        X[:5, column] = 1.0  # steps 0 and 1 read no NaN
+        assert dynamics._fresh_steps(X, 4).tolist() == [True, False, True, True]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_flags_match_a_row_by_row_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        palette = rng.normal(size=(3, 4, 3))
+        palette[:, :, 0] = 0.0  # a word that never changes
+        palette[1, 2, 1] = -0.0 if seed % 2 else np.nan
+        runs = rng.integers(1, 6, size=40)
+        X = np.concatenate([np.repeat(palette[rng.integers(3)][None], r, axis=0) for r in runs])
+        X = X[:len(X) - (len(X) % 2 == 0)]  # an odd number of samples
+        n_steps = (len(X) - 1) // 2
+        assert dynamics._fresh_steps(X, n_steps).tolist() == reference_fresh_steps(X, n_steps)
+
+    def test_no_tracks_repeat_every_step(self):
+        assert dynamics._fresh_steps(np.zeros((9, 2, 0)), 4).tolist() == [True, False, False, False]
+
+    @pytest.mark.parametrize("stride", [1, 7, 57, 1000])
+    @pytest.mark.parametrize("ids", [
+        [0] * 57,
+        [0] * 20 + [1] * 3 + [2] + [0] * 33,
+        [0, 1, 1, 1, 2, 2, 3, 3, 3, 3, 3, 4, 0, 0, 0, 0, 0, 0, 1, 2, 2, 2, 2, 2, 2, 2] * 2 + [3] * 5,
+        list(range(5)) * 11 + [0, 0]])
+    def test_memoized_tree_is_the_plain_tree(self, ids, stride):
+        ids = np.array(ids)
+        assert len(ids) == 57 and len(ids) % 7  # a short last interval at stride 7
+        rng = np.random.default_rng(len(set(ids.tolist())))
+        E = 0.05 * rng.normal(size=(ids.max() + 1, 3, 4, 4))
+        E[rng.random(E.shape) < 0.2] = 0.0
+        got = dynamics._interval_maps(E.copy(), stride, ids.copy())
+        assert np.array_equal(got, plain_interval_maps(E[ids], stride))
+
+    def test_memoized_tree_composes_each_run_once(self, monkeypatch):
+        pairs = []
+
+        def spy(E2, E1):
+            pairs.append(len(E2))
+            return then(E2, E1)
+
+        then = dynamics._then
+        monkeypatch.setattr(dynamics, "_then", spy)
+        E = 0.05 * np.random.default_rng(3).normal(size=(2, 4, 4))
+        dynamics._interval_maps(E, 1024, np.r_[np.zeros(512, int), np.ones(512, int)])
+        assert pairs == [2] * 9 + [1]  # M M and N N at each level, then the last pair
+
+    def step_maps_formed(self, pulse, monkeypatch):
+        formed = []
+
+        def spy(A1, A2, A3, h):
+            formed.append(len(A1))
+            return increment(A1, A2, A3, h)
+
+        increment = dynamics._rk4_increment
+        monkeypatch.setattr(dynamics, "_rk4_increment", spy)
+        evolve_lindblad(scan_batch_sampler(pulse), computational_basis(2, (0, 1)),
+                        qubit_collapse(STRONG, 2), (0.0, pulse.tau), dt=0.05)
+        return sum(formed), _half_step_grid((0.0, pulse.tau), 0.05)[1]
+
+    def test_comparator_forms_only_its_distinct_step_maps(self, monkeypatch):
+        formed, n_steps = self.step_maps_formed(dynamical_comparator(CATALOG["hadamard"])[0],
+                                                monkeypatch)
+        assert n_steps == 1167
+        assert formed <= 0.02 * n_steps
+
+    def test_geometric_pulse_forms_every_step_map(self, monkeypatch):
+        formed, n_steps = self.step_maps_formed(synthesize(CATALOG["hadamard"]), monkeypatch)
+        assert formed == n_steps
+
+    @pytest.mark.parametrize("record_stride", [None, 20])
+    @pytest.mark.parametrize("gate", ["pi8", "hadamard"])
+    def test_comparator_matches_the_step_by_step_reference(self, gate, record_stride):
+        pulse, _ = dynamical_comparator(CATALOG[gate])
+        sampler, basis = scan_batch_sampler(pulse), computational_basis(2, (0, 1))
+        collapse, span = qubit_collapse(STRONG, 2), (0.0, pulse.tau)
+        res = evolve_lindblad(sampler, basis, collapse, span, dt=0.05,
+                              record_stride=record_stride)
+        ref = reference_rk4(sampler, np.broadcast_to(basis, (11, 4, 2, 2)), lindblad_rhs(collapse),
+                            span, 0.05, record_stride)
+        if record_stride:
+            times, ref = ref
+            assert np.array_equal(res.times, times)
+        assert res.states.shape == ref.shape
+        assert np.abs(res.states - ref).max() <= 1e-13
 
 
 def previous_rk4_increment(A1, A2, A3, h):
