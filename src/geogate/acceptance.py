@@ -166,12 +166,12 @@ def criterion_8_robustness_ordering(n_points: int = 41, dt: float = 0.01) -> Cri
     checks = []
     for gate in ("pi8", "hadamard"):
         variants = gate_variants(gate, include=("geometric", "dynamical"))
-        for axis in ("epsilon", "delta"):
-            scan = robustness_scan(variants, axis, values, rates=BENCH_RATES, dt=dt)
+        for scan in robustness_scan(variants, ("epsilon", "delta"), values,
+                                    rates=BENCH_RATES, dt=dt):
             geo = scan.fidelities["geometric"]
             dyn = scan.fidelities["dynamical"]
             for e in edges:
-                checks.append((f"{gate}/{axis}{'+' if values[e] > 0 else '-'}",
+                checks.append((f"{gate}/{scan.axis}{'+' if values[e] > 0 else '-'}",
                                geo[e], dyn[e]))
     ok = all(g > d for _, g, d in checks)
     worst = min(checks, key=lambda c: c[1] - c[2])

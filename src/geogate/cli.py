@@ -292,7 +292,7 @@ def cmd_scan(args) -> int:
     variants = gate_variants(gate, _budget(config, args), include, style)
     values = np.linspace(lo, hi, n_points)
     # every axis is scanned before any file is written, so a bad axis leaves no output
-    scans = [robustness_scan(variants, axis, values, rates=rates, dt=dt) for axis in axes]
+    scans = robustness_scan(variants, axes, values, rates=rates, dt=dt)
     outputs = []
     i0 = int(np.argmin(np.abs(values)))  # the grid point nearest zero error
     for axis, scan in zip(axes, scans):
@@ -439,9 +439,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bound_number_flags(argv) -> list:
+    """``--dt -inf`` as ``--dt=-inf``, and so for ``--omega0``: argparse takes a lone
+    argument that starts with '-' and is no plain negative number (-inf, -nan,
+    -1e-3) for an option, and the flag's own check would never see it."""
+    argv, out = list(sys.argv[1:] if argv is None else argv), []
+    while argv:
+        arg = argv.pop(0)
+        if arg in ("--dt", "--omega0") and argv and argv[0].startswith("-"):
+            try:
+                float(argv[0])
+            except ValueError:
+                pass
+            else:
+                arg = f"{arg}={argv.pop(0)}"
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bound_number_flags(argv))
     try:
         return args.fn(args)
     except (ConfigError, ValueError, KeyError, OSError) as exc:

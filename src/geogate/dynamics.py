@@ -25,7 +25,8 @@ diagonal, so no input with N <= 2 (the computational states among them)
 ever reaches |12>, |21> or |22>.  The same terms conserve K = N(i) - N(j)
 on |i><j|, and the integrators find the closed N and |K| sectors themselves.
 
-Drive convention and error model (one source: ``_drive_hamiltonian``).  In
+Drive convention and error model (one source: the track builder
+``_drive_tracks``, whose dense view is ``_drive_hamiltonian``).  In
 the frame rotating at the drive frequency a ``DrivePulse`` with detuning
 Delta(t), phase phi(t) and complex envelope Omega_env(t) -- ``drag`` once the
 leakage correction is attached, the real ``omega`` otherwise -- gives
@@ -40,8 +41,10 @@ H[2,2] = 3 Delta_e / 2 - anharmonicity and H[2,1] = sqrt(2) H[1,0].
 
 Hamiltonian samplers are vectorized callables ``H(ts) -> (len(ts), d, d)``,
 optionally with batch axes after the time axis; the integrator evaluates
-them once on its half-step grid.  Batched states (leading batch axes)
-evolve simultaneously through numpy broadcasting.
+them once on its half-step grid.  A sampler for ``evolve_lindblad`` may
+return the ``HermitianTracks`` of those samples instead, as the driven
+qubit's does.  Batched states (leading batch axes) evolve simultaneously
+through numpy broadcasting.
 
 Integrator.  Both equations are linear, y' = A(t) y, in real coordinates
 with a real generator A, and one RK4 formula (``_rk4_increment``) serves
@@ -53,19 +56,22 @@ generator, which keeps Hermiticity, becomes a real d^2 x d^2 matrix (the
 coherence-vector form; Alicki and Lendi, Quantum Dynamical Semigroups and
 Applications, 1987): A = D + sum_nu h_nu C_nu, with h_nu = Tr(B_nu H) and
 C_nu the generator of -i [B_nu, rho], cached per d, and the dissipator D
-built once per call.  Each closed sector of A on the sampled grid
-(``_sectors``: levels linked by an entry of H for kets, Hermitian
+cached per d and collapse operators.  Each closed sector of A on the
+sampled grid (``_sectors``: levels linked by an entry of H for kets, Hermitian
 coordinates linked by D and the C_nu for density matrices) evolves under
 its block of A, and a sector whose initial coordinates are all zero stays
 zero without being evolved.  The sum over nu runs only over H's nonzero
 coordinates, the nu = d i + j whose H[i, j] or H[j, i] is nonzero
 somewhere, whenever the sector search read the whole grid (6 of 36 for
 the coupled pair); when the first block of samples already links every
-coordinate it runs over all of them.  Complex coordinates such as those
-of |a><b| evolve as their real and imaginary columns.  H is read once
-into tracks, the real numbers the generators are built from per chunk of
-steps: h_nu of the summed nu for density matrices, after which the dense
-grid is released, and the (Re, Im) pairs of vec H for kets.  The formula
+coordinate it runs over all of them.  Tracks from a sampler name the
+entries their model fills, which give the sectors and the summed nu
+without a read of the samples (7 of 9 for the transmon).  Complex
+coordinates such as those of |a><b| evolve as their real and imaginary
+columns.  Dense samples are read once into tracks, the real numbers the
+generators are built from per chunk of steps: h_nu of the summed nu for
+density matrices, after which the dense grid is released, and the (Re, Im)
+pairs of vec H for kets.  The formula
 applied to the identity gives every step map of a chunk of steps at once,
 held as its difference from the identity; a pairwise tree product composes
 them and the product acts on the states.  Chunks hold whole record
@@ -154,23 +160,89 @@ def aux_states(alpha: float, beta: float):
 # ---------------------------------------------------------------------------
 # samplers
 
-def _drive_hamiltonian(pulse: DrivePulse, ts, epsilon=0.0, delta=0.0,
-                       anharmonicity: float | None = None):
-    """Rotating-frame Hamiltonian of ``pulse`` on the grid ``ts``.
+@dataclass(frozen=True)
+class HermitianTracks:
+    """A Hamiltonian's samples as their tracks h_nu = Tr(B_nu H) (``_hermitian_basis``):
+    ``h`` is (samples, *batch, m), for the nu = d i + j of the entries ``on`` (a
+    symmetric (d, d) boolean) that H fills.  ``shape`` and ``nbytes`` are those of
+    the dense samples they stand for and of the tracks."""
+
+    h: np.ndarray
+    on: np.ndarray
+
+    @property
+    def shape(self):
+        return self.h.shape[:-1] + self.on.shape
+
+    @property
+    def nbytes(self):
+        return self.h.nbytes
+
+
+def _drive_samples(pulse: DrivePulse, ts):
+    """The error-free drive on the grid ``ts``: H[1, 0] = conj(Omega_env) exp(i phi) / 2
+    and the detuning Delta."""
+    ts = np.asarray(ts, dtype=float)
+    env = pulse.drag if pulse.drag is not None else pulse.omega.astype(complex)
+    om = np.interp(ts, pulse.t, env.real) + 1j * np.interp(ts, pulse.t, env.imag)
+    d10 = 0.5 * np.conj(om) * np.exp(1j * np.interp(ts, pulse.t, pulse.phase))
+    return d10, np.interp(ts, pulse.t, pulse.delta)
+
+
+def _drive_tracks(pulse: DrivePulse, ts, epsilon=0.0, delta=0.0,
+                  anharmonicity: float | None = None) -> HermitianTracks:
+    """Rotating-frame Hamiltonian of ``pulse`` on the grid ``ts``, as its tracks.
 
     The single source of the drive convention and the error model (see the
     module docstring).  ``epsilon`` and ``delta`` may be arrays over error
     points; they broadcast against each other and add a point axis after
     the time axis.  With an ``anharmonicity`` the second excited state is
     appended (three levels), otherwise the model is the qubit alone.
+
+    The h_nu of the filled entries are written in place into one (samples,
+    *points, m) array with the per-element arithmetic of ``_hermitian_tracks``
+    on the dense samples (``_drive_hamiltonian``): H[i, i] on |i><i|, and for
+    H[j, i] = x + i y (j > i) sqrt(2) x on (|i><j| + |j><i|)/sqrt(2) and
+    -sqrt(2) y on i(|i><j| - |j><i|)/sqrt(2), which equal x r + x r and
+    -y r - y r for r = sqrt(1/2); zeros are +0.0, as a sum from +0.0 gives.
     """
-    ts = np.asarray(ts, dtype=float)
+    d10, Delta = _drive_samples(pulse, ts)
     epsilon, delta = np.broadcast_arrays(epsilon, delta)
-    env = pulse.drag if pulse.drag is not None else pulse.omega.astype(complex)
-    om = np.interp(ts, pulse.t, env.real) + 1j * np.interp(ts, pulse.t, env.imag)
-    d10 = 0.5 * np.conj(om) * np.exp(1j * np.interp(ts, pulse.t, pulse.phase))
+    d = 2 if anharmonicity is None else 3
+    on = abs(np.subtract.outer(np.arange(d), np.arange(d))) <= 1  # the entries the drive fills
+    active = np.flatnonzero(on.ravel())
+    h = np.empty(d10.shape + epsilon.shape + (len(active),))
+    track = dict(zip(active.tolist(), np.moveaxis(h, -1, 0)))
+    de = track[0]
+    np.add.outer(Delta, delta * pulse.omega0, out=de)  # Delta_e
+    if anharmonicity is not None:
+        np.multiply(de, 1.5, out=track[8])
+        track[8] -= anharmonicity
+    np.multiply(de, 0.5, out=track[d + 1])
+    de *= -0.5
+    x, y, scale = track[1], track[d], 1.0 + epsilon
+    np.multiply.outer(d10.real, scale, out=x)
+    np.multiply.outer(d10.imag, scale, out=y)
+    s = math.sqrt(2)
+    if anharmonicity is not None:  # H[2, 1] = sqrt(2) H[1, 0]
+        np.multiply(x, s, out=track[5])
+        track[5] *= s
+        np.multiply(y, s, out=track[7])
+        track[7] *= -s
+    x *= s
+    y *= -s
+    h += 0.0
+    return HermitianTracks(h, on)
+
+
+def _drive_hamiltonian(pulse: DrivePulse, ts, epsilon=0.0, delta=0.0,
+                       anharmonicity: float | None = None):
+    """The dense samples (samples, *points, d, d) of ``_drive_tracks``, for the
+    callers that need H itself; a test pins the two bit for bit."""
+    d10, Delta = _drive_samples(pulse, ts)
+    epsilon, delta = np.broadcast_arrays(epsilon, delta)
     d10 = np.multiply.outer(d10, 1.0 + epsilon)
-    de = np.add.outer(np.interp(ts, pulse.t, pulse.delta), delta * pulse.omega0)
+    de = np.add.outer(Delta, delta * pulse.omega0)
     dim = 2 if anharmonicity is None else 3
     H = np.zeros(d10.shape + (dim, dim), dtype=complex)
     H[..., 0, 0] = -de / 2
@@ -598,15 +670,24 @@ def _commutator_generators(d):
 
 
 def _dissipator(collapse, d):
-    """The dissipator D of ``collapse`` in Hermitian coordinates, real d^2 x d^2."""
+    """The dissipator D of ``collapse`` in Hermitian coordinates, real d^2 x d^2.
+    Cached per d and (rate, operator) pairs, and read-only."""
+    return _cached_dissipator(d, tuple((float(r), np.asarray(L, dtype=complex).tobytes())
+                                       for r, L in collapse))
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_dissipator(d, collapse):
     T = _hermitian_basis(d)
     outer, eye = np.multiply.outer, np.eye(d)
     D = np.zeros((d,) * 4, dtype=complex)  # X kron Y is outer(X, Y) with axes 0, 2, 1, 3
     for r, L in collapse:
-        L = np.asarray(L, dtype=complex)
+        L = np.frombuffer(L, dtype=complex).reshape(d, d)
         K = L.conj().T @ L
         D += r * (outer(L, L.conj()) - 0.5 * (outer(K, eye) + outer(eye, K.T)))
-    return (T @ D.transpose(0, 2, 1, 3).reshape(d * d, d * d) @ T.conj().T).real
+    D = (T @ D.transpose(0, 2, 1, 3).reshape(d * d, d * d) @ T.conj().T).real
+    D.flags.writeable = False
+    return D
 
 
 def _hermitian_tracks(H, active):
@@ -705,8 +786,12 @@ def _sectors(H, d, link):
             first = _components(link(on))
     else:
         on = np.ones((d, d), dtype=bool)
-    sectors = [np.flatnonzero(first == k) for k in np.flatnonzero(first == np.arange(len(first)))]
-    return sectors, on
+    return _component_sets(first), on
+
+
+def _component_sets(first):
+    """The sorted indices of each component, in the order of their first."""
+    return [np.flatnonzero(first == k) for k in np.flatnonzero(first == np.arange(len(first)))]
 
 
 def evolve_lindblad(hamiltonian, rho0, collapse=(), t_span=None, dt=DEFAULT_DT,
@@ -717,18 +802,25 @@ def evolve_lindblad(hamiltonian, rho0, collapse=(), t_span=None, dt=DEFAULT_DT,
     matching batch axes (broadcast rules apply).  ``collapse`` is a list of
     (rate, operator) pairs entering as (rate/2) * (2 L rho L+ - {L+L, rho}).
     The Hamiltonian is sampled once; each closed sector of the Hermitian
-    coordinates (``_liouvillian_link``) evolves on its own.
+    coordinates (``_liouvillian_link``) evolves on its own.  A sampler that
+    returns ``HermitianTracks`` hands over the tracks themselves, and the
+    sectors follow from the entries they fill, without a read of the samples.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[-1]
     T = _hermitian_basis(d)
     coords = rho0.reshape(rho0.shape[:-2] + (d * d,)) @ T.T
     grid = _half_step_grid(t_span, dt)
-    H = np.asarray(hamiltonian(grid[0]), dtype=complex)
+    H = hamiltonian(grid[0])
     D = _dissipator(collapse, d)
-    sectors, on = _sectors(H, d, _liouvillian_link(D, d))
+    link = _liouvillian_link(D, d)
+    if isinstance(H, HermitianTracks):  # the entries they fill give the sectors
+        sectors, on = _component_sets(_components(link(H.on))), H.on
+    else:
+        H = np.asarray(H, dtype=complex)
+        sectors, on = _sectors(H, d, link)
     active = np.flatnonzero((on | on.T).ravel())  # nu = d i + j of H's nonzero entries
-    h = _hermitian_tracks(H, active)
+    h = H.h if isinstance(H, HermitianTracks) else _hermitian_tracks(H, active)
     del H  # the chunks read only the tracks
     res = _evolve_sectors(grid, h, coords, record_stride, sectors,
                           functools.partial(_liouvillian, D, d, active))

@@ -12,8 +12,8 @@ k = (cos theta, sin theta), so its average is an exact contraction with
 the equatorial moments E[c^4] = E[s^4] = 3/8, E[c^2 s^2] = 1/8
 (qubit-wise for product states).  No theta is sampled.
 One evolution of |a><b| (``_evolve_channel``) serves the driven qubit:
-the average fidelity and the robustness scans (all error points of a
-variant in one batch) reduce its final value, and the F(t) and
+the average fidelity and the robustness scans (the error points of every
+axis of a variant in one batch) reduce its final value, and the F(t) and
 population trace of a ket k read rho(t) = sum k_a k_b* E_t(|a><b|) from
 the recorded channel.
 
@@ -37,7 +37,7 @@ from ._csv import write_csv
 from .dynamics import (
     DEFAULT_DT,
     COMPUTATIONAL_IDX,
-    _drive_hamiltonian,
+    _drive_tracks,
     _fractions,
     _warn_if_out_of_range,
     DecoherenceRates,
@@ -109,8 +109,9 @@ def _evolve_channel(pulse, model, anharmonicity, rates, epsilon, delta, dt,
                     record_stride=None):
     """E_t(|a><b|) of the driven qubit on its levels 0 and 1, index 2a + b.
 
-    The only single-qubit evolution: error values given as arrays add a
-    point axis to the Hamiltonian grid that broadcasts against the basis.
+    The only single-qubit evolution, on the drive's tracks: error values
+    given as arrays add a point axis to them that broadcasts against the
+    basis.
     """
     if model == "two_level":
         anharmonicity = None
@@ -121,7 +122,8 @@ def _evolve_channel(pulse, model, anharmonicity, rates, epsilon, delta, dt,
     dim = 2 if anharmonicity is None else 3
 
     def sampler(ts):
-        return _drive_hamiltonian(pulse, ts, epsilon, delta, anharmonicity)[..., None, :, :]
+        tracks = _drive_tracks(pulse, ts, epsilon, delta, anharmonicity)
+        return replace(tracks, h=tracks.h[..., None, :])
 
     return evolve_lindblad(sampler, _channel_basis(QUBIT_IDX, dim),
                            qubit_collapse(rates or DecoherenceRates(), dim),
@@ -254,34 +256,46 @@ class ScanResult:
                   [self.values] + [self.fidelities[n] for n in names])
 
 
-def _scan_variant(pulse, target, axis, values, rates, dt):
-    """Fidelities of one variant at every error value, all points evolved as one batch."""
-    epsilon, delta = (values, 0.0) if axis == "epsilon" else (0.0, values)
-    evolved = _evolve_channel(pulse, "two_level", None, rates, epsilon, delta, dt).final
-    return _average_fidelity(evolved, target, QUBIT_IDX)
+AXES = ("epsilon", "delta")
 
 
-def robustness_scan(variants: dict, axis: str, values=None,
+def robustness_scan(variants: dict, axes, values=None,
                     rates: DecoherenceRates | None = None,
-                    n_theta: int | None = None, dt: float = SCAN_DT) -> ScanResult:
-    """Fidelity-versus-error curves for each gate variant.
+                    n_theta: int | None = None, dt: float = SCAN_DT) -> list:
+    """Fidelity-versus-error curves for each gate variant, one ``ScanResult``
+    per name in ``axes``, in order.
 
-    ``axis`` is "epsilon" (drive amplitude) or "delta" (detuning offset).
-    Each variant evolves all error points as one batch.  ``n_theta`` is
-    accepted and has no effect.
+    An axis is "epsilon" (drive amplitude) or "delta" (detuning offset);
+    ``axes`` is a sequence of them, not one name.  Each variant evolves the
+    error points of every axis as one batch, epsilon = (values, 0, ...) and
+    delta = (0, ..., values) for ``("epsilon", "delta")``, and each axis reads
+    its slice.  ``n_theta`` is accepted and has no effect.
     """
-    if axis not in ("epsilon", "delta"):
-        raise ValueError(f"unknown scan axis {axis!r}; axis must be 'epsilon' or 'delta'")
+    if isinstance(axes, str):
+        raise ValueError(f"axes must be a sequence of axis names, not the string {axes!r}")
+    axes = list(axes)
+    for axis in axes:
+        if axis not in AXES:
+            raise ValueError(f"unknown scan axis {axis!r}; axis must be 'epsilon' or 'delta'")
     if values is None:
         values = np.linspace(-0.1, 0.1, 41)
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("a robustness scan needs at least one error value")
     _warn_if_out_of_range(values)
+    if not axes:
+        return []
     rates = rates or DecoherenceRates()
-    fidelities = {name: _scan_variant(pulse, target, axis, values, rates, dt)
-                  for name, (pulse, target) in variants.items()}
-    return ScanResult(axis=axis, values=values, fidelities=fidelities)
+    zero = np.zeros_like(values)
+    epsilon, delta = (np.concatenate([values if axis == name else zero for axis in axes])
+                      for name in AXES)
+    fidelities = {}
+    for name, (pulse, target) in variants.items():
+        evolved = _evolve_channel(pulse, "two_level", None, rates, epsilon, delta, dt).final
+        fidelities[name] = _average_fidelity(evolved, target, QUBIT_IDX).reshape(len(axes), -1)
+    return [ScanResult(axis=axis, values=values,
+                       fidelities={name: f[k] for name, f in fidelities.items()})
+            for k, axis in enumerate(axes)]
 
 
 # ---------------------------------------------------------------------------

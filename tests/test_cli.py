@@ -508,6 +508,21 @@ class TestErrors:
                            "message": f"flag {flag} must be a finite number, got {float(value)}"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("value, message", [
+        ("-inf", "must be a finite number, got -inf"), ("-nan", "must be a finite number, got nan"),
+        ("-1e-3", "must be greater than 0, got -0.001")])
+    @pytest.mark.parametrize("command, flag", [("simulate", "--dt"), ("scan", "--omega0")])
+    def test_lone_negative_flag_value_reaches_the_check(self, tmp_path, capsys, no_work,
+                                                        command, flag, value, message):
+        # "-inf" as its own argument, which argparse would read as an option
+        out = tmp_path / "out"
+        assert main([command, "--gate", "pi8", flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        payload = json.loads(err[0][len("error: "):])
+        assert payload == {"type": "ConfigError", "message": f"flag {flag} {message}"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("variants", [["geometrc"], ["geometric", "dynamic"], []])
     def test_unknown_variant_names_the_key(self, tmp_path, capsys, no_work, variants):
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from geogate.dynamics import (
     ErrorFractions,
     TransmonParams,
     _drive_hamiltonian,
+    _drive_tracks,
     aux_states,
     TwoQubitDrive,
     _half_step_grid,
@@ -309,6 +311,67 @@ class TestErrorInjection:
     def test_out_of_range_warns(self):
         with pytest.warns(UserWarning):
             ErrorFractions(epsilon=0.5)
+
+
+TRACK_PULSES = {
+    "plain": lambda: synthesize(CATALOG["pi8"]),
+    "drag": lambda: drag_correct(synthesize(CATALOG["pi8"]), ANH),
+    # constant segments at zero detuning: the samples hold signed zeros
+    "comparator": lambda: dynamical_comparator(CATALOG["hadamard"])[0],
+}
+TRACK_ERRORS = {
+    "none": (0.0, 0.0),
+    "epsilon": (np.linspace(-0.1, 0.1, 11), 0.0),
+    "delta": (0.0, np.linspace(-0.1, 0.1, 11)),
+    "both": (np.linspace(-0.1, 0.1, 5), np.linspace(0.1, -0.1, 5)),
+}
+
+
+class TestDriveTracks:
+    """``_drive_tracks`` writes the h_nu of the drive directly; they are the
+    projection of the dense samples of ``_drive_hamiltonian``, bit for bit."""
+
+    @pytest.mark.parametrize("errors", TRACK_ERRORS)
+    @pytest.mark.parametrize("kind", TRACK_PULSES)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_tracks_are_the_projection_of_the_dense_samples(self, d, kind, errors):
+        pulse = TRACK_PULSES[kind]()
+        ts = _half_step_grid((0.0, pulse.tau), 0.01)[0]
+        anh = ANH if d == 3 else None
+        tracks = _drive_tracks(pulse, ts, *TRACK_ERRORS[errors], anharmonicity=anh)
+        H = _drive_hamiltonian(pulse, ts, *TRACK_ERRORS[errors], anharmonicity=anh)
+        assert tracks.shape == H.shape and tracks.nbytes == tracks.h.nbytes
+        support = np.abs(H).reshape(-1, d, d).max(axis=0) > 0
+        assert not (support & ~tracks.on).any()  # every entry nonzero somewhere has a track
+        ref = dynamics._hermitian_tracks(H, np.flatnonzero(tracks.on.ravel()))
+        assert np.array_equal(tracks.h.view(np.int64), ref.view(np.int64))  # signed zeros count
+
+    @pytest.mark.parametrize("rates", [STRONG, DecoherenceRates()], ids=["strong", "closed"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_evolution_from_tracks_is_the_dense_evolution(self, d, rates, monkeypatch):
+        pulse = TRACK_PULSES["drag"]()
+        eps, anh = np.linspace(-0.1, 0.1, 3), (ANH if d == 3 else None)
+        basis = computational_basis(d, (0, 1))
+
+        def dense(ts):
+            return _drive_hamiltonian(pulse, ts, eps, 0.0, anh)[:, :, None]
+
+        def tracked(ts):
+            tracks = _drive_tracks(pulse, ts, eps, 0.0, anh)
+            return replace(tracks, h=tracks.h[:, :, None])
+
+        def refuse(*args):
+            raise AssertionError("the samples were read for their support")
+
+        def run(sampler):
+            return evolve_lindblad(sampler, basis, qubit_collapse(rates, d), (0.0, pulse.tau),
+                                   dt=0.02, record_stride=100)
+
+        want = run(dense)
+        monkeypatch.setattr(dynamics, "_support", refuse)
+        got = run(tracked)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.states.view(np.int64), want.states.view(np.int64))
 
 
 class TestThreeLevel:
@@ -727,6 +790,18 @@ class TestHermitianCoordinates:
             D += r * (np.kron(L, L.conj()) - 0.5 * (np.kron(K, eye) + np.kron(eye, K.T)))
         assert np.array_equal(dynamics._dissipator(collapse_set(d, kind), d),
                               (T @ D @ T.conj().T).real)
+
+    @pytest.mark.parametrize("d, kind", COLLAPSE_SETS)
+    def test_cached_dissipator_is_a_fresh_build_bit_for_bit(self, d, kind):
+        cached = dynamics._dissipator(collapse_set(d, kind), d)
+        assert dynamics._dissipator(collapse_set(d, kind), d) is cached
+        assert not cached.flags.writeable
+        dynamics._cached_dissipator.cache_clear()
+        fresh = dynamics._dissipator(collapse_set(d, kind), d)
+        assert fresh is not cached
+        assert np.array_equal(fresh.view(np.int64), cached.view(np.int64))
+        other = collapse_set(d, kind)[:1]  # other rates, another dissipator
+        assert not np.array_equal(dynamics._dissipator(other, d), cached)
 
     @pytest.mark.parametrize("d, kind", COLLAPSE_SETS)
     def test_hermitian_state_has_real_coordinates_at_every_record(self, d, kind):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from geogate.dynamics import (
     ErrorFractions,
     TransmonParams,
     TwoQubitDrive,
+    _drive_hamiltonian,
     build_two_qubit_drive,
     evolve_lindblad,
     evolve_schrodinger,
@@ -21,6 +23,8 @@ from geogate.dynamics import (
     two_qubit_full_hamiltonian,
 )
 from geogate.fidelity import (
+    QUBIT_IDX,
+    VARIANTS,
     FidelityTrace,
     _average_fidelity,
     _channel_basis,
@@ -206,8 +210,8 @@ class TestGateVariants:
 class TestRobustnessScan:
     def test_zero_point_matches_direct_evaluation(self):
         variants = gate_variants("pi8", include=("geometric",))
-        scan = robustness_scan(variants, "epsilon", np.array([-0.05, 0.0, 0.05]),
-                               rates=RATES, dt=0.02)
+        scan, = robustness_scan(variants, ("epsilon",), np.array([-0.05, 0.0, 0.05]),
+                                rates=RATES, dt=0.02)
         pulse, target = variants["geometric"]
         direct = average_gate_fidelity_1q(pulse, target, rates=RATES, dt=0.02)
         mid = scan.fidelities["geometric"][1]
@@ -216,29 +220,72 @@ class TestRobustnessScan:
     def test_scan_direction_invariance(self):
         variants = gate_variants("pi8", include=("geometric",))
         values = np.linspace(-0.1, 0.1, 5)
-        fwd = robustness_scan(variants, "delta", values, rates=RATES, dt=0.02)
-        bwd = robustness_scan(variants, "delta", values[::-1], rates=RATES, dt=0.02)
+        fwd, = robustness_scan(variants, ("delta",), values, rates=RATES, dt=0.02)
+        bwd, = robustness_scan(variants, ("delta",), values[::-1], rates=RATES, dt=0.02)
         assert np.allclose(fwd.fidelities["geometric"],
                            bwd.fidelities["geometric"][::-1], atol=1e-13)
 
     def test_curve_single_peaked_near_zero(self):
         variants = gate_variants("pi8", include=("geometric",))
         values = np.linspace(-0.1, 0.1, 9)
-        scan = robustness_scan(variants, "delta", values, rates=RATES, dt=0.02)
+        scan, = robustness_scan(variants, ("delta",), values, rates=RATES, dt=0.02)
         f = scan.fidelities["geometric"]
         peak = np.argmax(f)
         assert values[peak] == pytest.approx(0.0, abs=0.03)
         assert np.all(np.diff(f[:peak + 1]) > 0)
         assert np.all(np.diff(f[peak:]) < 0)
 
+    @pytest.mark.parametrize("gate", ["pi8", "hadamard"])
+    def test_joint_axes_are_the_per_axis_scans_bit_for_bit(self, gate):
+        variants = gate_variants(gate)  # the dynamical comparator included
+        values = np.linspace(-0.1, 0.1, 11)
+        joint = robustness_scan(variants, ("delta", "epsilon"), values, rates=RATES, dt=0.05)
+        assert [scan.axis for scan in joint] == ["delta", "epsilon"]
+        for scan in joint:
+            alone, = robustness_scan(variants, (scan.axis,), values, rates=RATES, dt=0.05)
+            assert sorted(scan.fidelities) == sorted(VARIANTS)
+            for name, f in scan.fidelities.items():
+                assert np.array_equal(f.view(np.int64), alone.fidelities[name].view(np.int64))
+
+    def test_joint_comparator_scan_peaks_no_higher_than_one_dense_axis(self):
+        # both axes as one batch of tracks against one axis evolved from dense samples
+        variants = gate_variants("hadamard", include=("dynamical",))
+        pulse, _ = variants["dynamical"]
+        values = np.linspace(-0.1, 0.1, 11)
+
+        def dense_axis():
+            def sampler(ts):
+                return _drive_hamiltonian(pulse, ts, values, 0.0)[..., None, :, :]
+            evolve_lindblad(sampler, _channel_basis(QUBIT_IDX, 2), qubit_collapse(RATES),
+                            (0.0, pulse.tau), 0.05)
+
+        def joint():
+            robustness_scan(variants, ("epsilon", "delta"), values, rates=RATES, dt=0.05)
+
+        def traced_peak(run):
+            run()  # caches filled
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(joint) <= 1.15 * traced_peak(dense_axis)
+
+    def test_a_bare_axis_name_is_rejected(self):
+        variants = gate_variants("pi8", include=("geometric",))
+        with pytest.raises(ValueError, match="not the string 'epsilon'"):
+            robustness_scan(variants, "epsilon", [0.0])
+
     def test_bad_axis(self):
-        with pytest.raises(ValueError):
-            robustness_scan({}, "sigma", np.array([0.0]))
+        with pytest.raises(ValueError, match="unknown scan axis 'sigma'"):
+            robustness_scan({}, ("epsilon", "sigma"), np.array([0.0]))
 
     def test_no_values(self):
         variants = gate_variants("pi8", include=("geometric",))
         with pytest.raises(ValueError, match="at least one error value"):
-            robustness_scan(variants, "epsilon", [])
+            robustness_scan(variants, ("epsilon",), [])
 
 
 class TestFidelityDynamics:
