@@ -257,14 +257,14 @@ def cmd_simulate(args) -> int:
     stride = _integer(config, "record_stride", 20, minimum=1)
     drag = _flag(config, "drag", True)
     coeffs = _coeffs(config, args)
+    defaults = {"pi8": [1.0, 1.0], "phase": [1.0, 1.0], "hadamard": [1.0, 0.0]}
+    ket0 = _numbers(config, "initial_state", defaults.get(gate, [1.0, 0.0]))
     out_dir = _out_dir(config, args)
     pulse = synthesize(spec, default_schedule(spec, coeffs), budget, grid)
     if model == "three_level" and drag:
         pulse = drag_correct(pulse, anh)
         if coeffs:
             print("note: reshaped schedules pair poorly with the leakage correction")
-    defaults = {"pi8": [1.0, 1.0], "phase": [1.0, 1.0], "hadamard": [1.0, 0.0]}
-    ket0 = config.get("initial_state", defaults.get(gate, [1.0, 0.0]))
     trace = fidelity_dynamics(pulse, ket0, model=model, anharmonicity=anh,
                               rates=rates, err=err, dt=dt, record_stride=stride)
     fid = trace.gate_fidelity(target_unitary(spec))

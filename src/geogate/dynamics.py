@@ -26,10 +26,10 @@ ever reaches |12>, |21> or |22>.  The same terms conserve K = N(i) - N(j)
 on |i><j|, and the integrators find the closed N and |K| sectors themselves.
 
 Drive convention and error model (one source: the track builder
-``_drive_tracks``, whose dense view is ``_drive_hamiltonian``).  In
-the frame rotating at the drive frequency a ``DrivePulse`` with detuning
-Delta(t), phase phi(t) and complex envelope Omega_env(t) -- ``drag`` once the
-leakage correction is attached, the real ``omega`` otherwise -- gives
+``_drive_tracks``).  In the frame rotating at the drive frequency a
+``DrivePulse`` with detuning Delta(t), phase phi(t) and complex envelope
+Omega_env(t) -- ``drag`` once the leakage correction is attached, the real
+``omega`` otherwise -- gives
 
     H[1,0] = (1 + epsilon) * conj(Omega_env) * exp(i phi) / 2,  H[0,1] = H[1,0]*
     H[0,0] = -Delta_e / 2,  H[1,1] = Delta_e / 2,  Delta_e = Delta + delta * omega0
@@ -39,39 +39,34 @@ detuning error delta offsetting Delta by a fraction of the amplitude budget
 omega0.  The three-level transmon adds only the |2> row and column:
 H[2,2] = 3 Delta_e / 2 - anharmonicity and H[2,1] = sqrt(2) H[1,0].
 
-Hamiltonian samplers are vectorized callables ``H(ts) -> (len(ts), d, d)``,
-optionally with batch axes after the time axis; the integrator evaluates
-them once on its half-step grid.  A sampler for ``evolve_lindblad`` may
-return the ``HermitianTracks`` of those samples instead, as the driven
-qubit's does.  Batched states (leading batch axes) evolve simultaneously
+Hamiltonian samplers are vectorized callables ``H(ts)`` that return the
+samples on the grid ``ts`` as ``HermitianTracks``: the coordinates
+h_nu = Tr(B_nu H) (see below), (len(ts), *batch, m), of the m entries the
+model fills.  Every sampler here does; ``dense()`` gives H itself.  A
+sampler may also return dense samples (len(ts), *batch, d, d); they are
+turned into tracks at one point (``_hermitian_tracks``), for the entries
+nonzero at some sample.  The integrators evaluate a sampler once on their
+half-step grid.  Batched states (leading batch axes) evolve simultaneously
 through numpy broadcasting.
 
 Integrator.  Both equations are linear, y' = A(t) y, in real coordinates
-with a real generator A, and one RK4 formula (``_rk4_increment``) serves
-both.  A ket psi = x + i y has the coordinates (x, y) and the generator
-[[Im H, Re H], [-Re H, Im H]], which is -iH written for x and y.  A
-density matrix has the coordinates Tr(B_nu rho) in an orthonormal basis B
-of Hermitian d x d matrices (``_hermitian_basis``), and a Lindblad
-generator, which keeps Hermiticity, becomes a real d^2 x d^2 matrix (the
-coherence-vector form; Alicki and Lendi, Quantum Dynamical Semigroups and
-Applications, 1987): A = D + sum_nu h_nu C_nu, with h_nu = Tr(B_nu H) and
-C_nu the generator of -i [B_nu, rho], cached per d, and the dissipator D
-cached per d and collapse operators.  Each closed sector of A on the
-sampled grid (``_sectors``: levels linked by an entry of H for kets, Hermitian
-coordinates linked by D and the C_nu for density matrices) evolves under
-its block of A, and a sector whose initial coordinates are all zero stays
-zero without being evolved.  The sum over nu runs only over H's nonzero
-coordinates, the nu = d i + j whose H[i, j] or H[j, i] is nonzero
-somewhere, whenever the sector search read the whole grid (6 of 36 for
-the coupled pair); when the first block of samples already links every
-coordinate it runs over all of them.  Tracks from a sampler name the
-entries their model fills, which give the sectors and the summed nu
-without a read of the samples (7 of 9 for the transmon).  Complex
-coordinates such as those of |a><b| evolve as their real and imaginary
-columns.  Dense samples are read once into tracks, the real numbers the
-generators are built from per chunk of steps: h_nu of the summed nu for
-density matrices, after which the dense grid is released, and the (Re, Im)
-pairs of vec H for kets.  The formula
+with the real generator A = D + sum_nu h_nu G_nu, and one RK4 formula
+(``_rk4_increment``) serves both.  A density matrix has the coordinates
+Tr(B_nu rho) in an orthonormal basis B of Hermitian d x d matrices
+(``_hermitian_basis``): a Lindblad generator, which keeps Hermiticity,
+becomes a real d^2 x d^2 matrix (the coherence-vector form; Alicki and
+Lendi, Quantum Dynamical Semigroups and Applications, 1987), with G_nu = C_nu
+the generator of -i [B_nu, rho], cached per d, and the dissipator D cached
+per d and collapse operators.  A ket psi = x + i y has the coordinates
+(x, y), G_nu = K_nu = [[Im B_nu, Re B_nu], [-Re B_nu, Im B_nu]], which is
+-i B_nu written for x and y, cached per d, and D = 0.  The sum over nu runs
+over the nu = d i + j of the entries the tracks fill (6 of 36 for the
+coupled pair, 7 of 9 for the transmon).  Each closed sector of A
+(``_sectors``: coordinates linked by D or by one of the summed G_nu)
+evolves under its block of A, and a sector whose initial coordinates are
+all zero stays zero without being evolved.  Complex coordinates such as
+those of |a><b| evolve as their real and imaginary columns.  The generators
+are built from the tracks per chunk of steps.  The formula
 applied to the identity gives every step map of a chunk of steps at once,
 held as its difference from the identity; a pairwise tree product composes
 them and the product acts on the states.  Chunks hold whole record
@@ -163,9 +158,9 @@ def aux_states(alpha: float, beta: float):
 @dataclass(frozen=True)
 class HermitianTracks:
     """A Hamiltonian's samples as their tracks h_nu = Tr(B_nu H) (``_hermitian_basis``):
-    ``h`` is (samples, *batch, m), for the nu = d i + j of the entries ``on`` (a
-    symmetric (d, d) boolean) that H fills.  ``shape`` and ``nbytes`` are those of
-    the dense samples they stand for and of the tracks."""
+    ``h`` is (samples, *batch, m), for the nu = d i + j, in order, of the entries
+    ``on`` (a symmetric (d, d) boolean) that H fills.  ``shape`` and ``nbytes`` are
+    those of the dense samples they stand for and of the tracks."""
 
     h: np.ndarray
     on: np.ndarray
@@ -178,15 +173,9 @@ class HermitianTracks:
     def nbytes(self):
         return self.h.nbytes
 
-
-def _drive_samples(pulse: DrivePulse, ts):
-    """The error-free drive on the grid ``ts``: H[1, 0] = conj(Omega_env) exp(i phi) / 2
-    and the detuning Delta."""
-    ts = np.asarray(ts, dtype=float)
-    env = pulse.drag if pulse.drag is not None else pulse.omega.astype(complex)
-    om = np.interp(ts, pulse.t, env.real) + 1j * np.interp(ts, pulse.t, env.imag)
-    d10 = 0.5 * np.conj(om) * np.exp(1j * np.interp(ts, pulse.t, pulse.phase))
-    return d10, np.interp(ts, pulse.t, pulse.delta)
+    def dense(self):
+        """The samples H = sum_nu h_nu B_nu, (samples, *batch, d, d) complex."""
+        return (self.h @ _hermitian_basis(len(self.on)).conj()[self.on.ravel()]).reshape(self.shape)
 
 
 def _drive_tracks(pulse: DrivePulse, ts, epsilon=0.0, delta=0.0,
@@ -201,12 +190,15 @@ def _drive_tracks(pulse: DrivePulse, ts, epsilon=0.0, delta=0.0,
 
     The h_nu of the filled entries are written in place into one (samples,
     *points, m) array with the per-element arithmetic of ``_hermitian_tracks``
-    on the dense samples (``_drive_hamiltonian``): H[i, i] on |i><i|, and for
-    H[j, i] = x + i y (j > i) sqrt(2) x on (|i><j| + |j><i|)/sqrt(2) and
-    -sqrt(2) y on i(|i><j| - |j><i|)/sqrt(2), which equal x r + x r and
-    -y r - y r for r = sqrt(1/2); zeros are +0.0, as a sum from +0.0 gives.
+    on the dense samples: H[i, i] on |i><i|, and for H[j, i] = x + i y (j > i)
+    sqrt(2) x on (|i><j| + |j><i|)/sqrt(2) and -sqrt(2) y on
+    i(|i><j| - |j><i|)/sqrt(2), which equal x r + x r and -y r - y r for
+    r = sqrt(1/2); zeros are +0.0, as a sum from +0.0 gives.
     """
-    d10, Delta = _drive_samples(pulse, ts)
+    ts = np.asarray(ts, dtype=float)
+    env = pulse.drag if pulse.drag is not None else pulse.omega.astype(complex)
+    om = np.interp(ts, pulse.t, env.real) + 1j * np.interp(ts, pulse.t, env.imag)
+    d10 = 0.5 * np.conj(om) * np.exp(1j * np.interp(ts, pulse.t, pulse.phase))
     epsilon, delta = np.broadcast_arrays(epsilon, delta)
     d = 2 if anharmonicity is None else 3
     on = abs(np.subtract.outer(np.arange(d), np.arange(d))) <= 1  # the entries the drive fills
@@ -214,7 +206,7 @@ def _drive_tracks(pulse: DrivePulse, ts, epsilon=0.0, delta=0.0,
     h = np.empty(d10.shape + epsilon.shape + (len(active),))
     track = dict(zip(active.tolist(), np.moveaxis(h, -1, 0)))
     de = track[0]
-    np.add.outer(Delta, delta * pulse.omega0, out=de)  # Delta_e
+    np.add.outer(np.interp(ts, pulse.t, pulse.delta), delta * pulse.omega0, out=de)  # Delta_e
     if anharmonicity is not None:
         np.multiply(de, 1.5, out=track[8])
         track[8] -= anharmonicity
@@ -235,27 +227,6 @@ def _drive_tracks(pulse: DrivePulse, ts, epsilon=0.0, delta=0.0,
     return HermitianTracks(h, on)
 
 
-def _drive_hamiltonian(pulse: DrivePulse, ts, epsilon=0.0, delta=0.0,
-                       anharmonicity: float | None = None):
-    """The dense samples (samples, *points, d, d) of ``_drive_tracks``, for the
-    callers that need H itself; a test pins the two bit for bit."""
-    d10, Delta = _drive_samples(pulse, ts)
-    epsilon, delta = np.broadcast_arrays(epsilon, delta)
-    d10 = np.multiply.outer(d10, 1.0 + epsilon)
-    de = np.add.outer(Delta, delta * pulse.omega0)
-    dim = 2 if anharmonicity is None else 3
-    H = np.zeros(d10.shape + (dim, dim), dtype=complex)
-    H[..., 0, 0] = -de / 2
-    H[..., 1, 1] = de / 2
-    H[..., 1, 0] = d10
-    H[..., 0, 1] = np.conj(d10)
-    if anharmonicity is not None:
-        H[..., 2, 2] = 3 * de / 2 - anharmonicity
-        H[..., 2, 1] = math.sqrt(2) * d10
-        H[..., 1, 2] = np.conj(H[..., 2, 1])
-    return H
-
-
 def _fractions(err: ErrorFractions | None):
     return (err.epsilon, err.delta) if err is not None else (0.0, 0.0)
 
@@ -263,7 +234,7 @@ def _fractions(err: ErrorFractions | None):
 def two_level_hamiltonian(pulse: DrivePulse, err: ErrorFractions | None = None):
     """Rotating-frame qubit Hamiltonian sampler for a synthesized pulse."""
     epsilon, delta = _fractions(err)
-    return lambda ts: _drive_hamiltonian(pulse, ts, epsilon, delta)
+    return lambda ts: _drive_tracks(pulse, ts, epsilon, delta)
 
 
 def three_level_hamiltonian(pulse: DrivePulse, anharmonicity: float,
@@ -275,7 +246,7 @@ def three_level_hamiltonian(pulse: DrivePulse, anharmonicity: float,
     matrix element.
     """
     epsilon, delta = _fractions(err)
-    return lambda ts: _drive_hamiltonian(pulse, ts, epsilon, delta, anharmonicity)
+    return lambda ts: _drive_tracks(pulse, ts, epsilon, delta, anharmonicity)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +314,8 @@ def subspace_frame_unitary(drive: TwoQubitDrive) -> np.ndarray:
 LEVELS = ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
 IDX_01, IDX_10, IDX_02, IDX_11, IDX_20 = map(LEVELS.index, ((0, 1), (1, 0), (0, 2), (1, 1), (2, 0)))
 COMPUTATIONAL_IDX = (0, IDX_01, IDX_10, IDX_11)
+# the level pairs (i, j), i < j, of the exchange terms c1, c2 and c3 on H[j, i]
+EXCHANGE = ((IDX_01, IDX_10), (IDX_02, IDX_11), (IDX_11, IDX_20))
 
 
 def two_qubit_full_hamiltonian(params: TransmonParams, drive: TwoQubitDrive):
@@ -353,7 +326,16 @@ def two_qubit_full_hamiltonian(params: TransmonParams, drive: TwoQubitDrive):
     exp(-i eta sin(integral nu + varphi)).  The modulation phase integral
     is accumulated by trapezoid quadrature on the grid handed to the
     sampler, so it shares the integrator's time resolution.
+
+    The tracks of H[j, i] = c = x + i y are sqrt(2) x on nu = 6 i + j and
+    -sqrt(2) y on nu = 6 j + i, with the arithmetic of ``_drive_tracks``.
     """
+    d = len(LEVELS)
+    on = np.zeros((d, d), dtype=bool)
+    for i, j in EXCHANGE:
+        on[i, j] = on[j, i] = True
+    active = np.flatnonzero(on.ravel()).tolist()
+
     def sample(ts):
         ts = np.asarray(ts, dtype=float)
         eta = np.interp(ts, drive.pulse.t, drive.eta)
@@ -364,14 +346,14 @@ def two_qubit_full_hamiltonian(params: TransmonParams, drive: TwoQubitDrive):
         c1 = params.g * np.exp(1j * params.Delta * ts) * mod
         c2 = math.sqrt(2) * params.g * np.exp(1j * (params.Delta + params.anh_b) * ts) * mod
         c3 = math.sqrt(2) * params.g * np.exp(1j * (params.Delta - params.anh_a) * ts) * mod
-        H = np.zeros(ts.shape + (len(LEVELS),) * 2, dtype=complex)
-        H[..., IDX_10, IDX_01] = c1
-        H[..., IDX_01, IDX_10] = np.conj(c1)
-        H[..., IDX_11, IDX_02] = c2
-        H[..., IDX_02, IDX_11] = np.conj(c2)
-        H[..., IDX_20, IDX_11] = c3
-        H[..., IDX_11, IDX_20] = np.conj(c3)
-        return H
+        h = np.empty(ts.shape + (len(active),))
+        track = dict(zip(active, np.moveaxis(h, -1, 0)))
+        s = math.sqrt(2)
+        for (i, j), c in zip(EXCHANGE, (c1, c2, c3)):
+            np.multiply(c.real, s, out=track[d * i + j])
+            np.multiply(c.imag, -s, out=track[d * j + i])
+        h += 0.0
+        return HermitianTracks(h, on)
 
     return sample
 
@@ -426,20 +408,26 @@ class EvolutionResult:
         return self.states[-1] if self.recorded else self.states
 
 
-def _rk4_increment(A1, A2, A3, h):
+def _rk4_increment(A1, A2, A3, h, work):
     """Step map minus the identity of one classical RK4 step of Y' = A(t) Y.
 
     A1, A2, A3 are A at t, t + h/2 and t + h; the step starts from Y = I,
-    so k1 = A1 I = A1.
+    so k1 = A1 I = A1.  ``work`` is a list that keeps the three buffers
+    between calls on maps of one shape (the chunks of one evolution); the
+    result is one of them, valid until the next call.  A fresh allocation
+    per chunk would fault its pages in every time.
     """
     n = A1.shape[-1]
-    F = np.multiply(A1, 0.5 * h)  # one buffer for the three factors I + c k
+    if not work or len(work[0]) < len(A1):
+        work[:] = [np.empty(A1.shape) for _ in range(3)]
+    F, k2, k3 = (w[:len(A1)] for w in work)
+    np.multiply(A1, 0.5 * h, out=F)  # one buffer for the three factors I + c k
     ones = F.reshape(F.shape[:-2] + (n * n,))[..., ::n + 1]
     ones += 1.0
-    k2 = A2 @ F
+    np.matmul(A2, F, out=k2)
     np.multiply(k2, 0.5 * h, out=F)
     ones += 1.0
-    k3 = A2 @ F
+    np.matmul(A2, F, out=k3)
     np.multiply(k3, h, out=F)
     ones += 1.0
     k2 *= 2  # A1 + 2 k2 + 2 k3 + k4, summed in that order
@@ -596,17 +584,17 @@ def _evolve(grid, X, y0, record_stride, generator):
     fresh = _fresh_steps(X, n_steps)
     starts = _chunk_starts(n_steps, stride, _chunk_steps(n, math.prod(hb)), fresh)
     memo = not fresh.all()
-    records = [Y[None]]
+    records, work = [Y[None]], []  # work: the RK4 buffers every chunk reuses
     for k0, k1 in zip(starts, starts[1:] + [n_steps]):
         if memo and not fresh[k0 + 1:k1].all():
             new = fresh[k0:k1].copy()
             new[0] = True
             built, ids = _runs(new)
             A = generator(X[2 * (k0 + built) + np.arange(3)[:, None]])
-            E = _rk4_increment(*A, h)
+            E = _rk4_increment(*A, h, work)
         else:
             A = generator(X[2 * k0:2 * k1 + 1])
-            E = _rk4_increment(A[:-1:2], A[1::2], A[2::2], h)
+            E = _rk4_increment(A[:-1:2], A[1::2], A[2::2], h, work)
             ids = None
         del A  # freed before the maps are composed
         P = _interval_maps(E, stride, ids)
@@ -690,74 +678,50 @@ def _cached_dissipator(d, collapse):
     return D
 
 
-def _hermitian_tracks(H, active):
-    """Tracks h_nu = Re Tr(B_nu H) of the samples H for the nu in ``active``: vec H's
-    (Re, Im) pairs times rows (Re T, -Im T), in blocks that keep one BLAS thread."""
+@functools.cache
+def _ket_generators(d):
+    """K[nu] = [[Im B_nu, Re B_nu], [-Re B_nu, Im B_nu]], the real generator of
+    -i B_nu acting on kets psi = x + i y in the coordinates (x, y); shape
+    (d^2, 2d, 2d).  Cached per d and read-only."""
+    B = _hermitian_basis(d).conj().reshape(d * d, d, d)
+    K = np.block([[B.imag, B.real], [-B.real, B.imag]])
+    K.flags.writeable = False
+    return K
+
+
+def _hermitian_tracks(H) -> HermitianTracks:
+    """The tracks of dense samples H (samples, *batch, d, d), for the entries
+    nonzero at some sample: h_nu = Re Tr(B_nu H) as vec H's (Re, Im) pairs times
+    rows (Re T, -Im T), in blocks that keep one BLAS thread.  The one point where
+    dense samples become tracks."""
+    H = np.asarray(H, dtype=complex)
     d = H.shape[-1]
+    on = (H != 0).reshape(-1, d, d).any(axis=0)
     T = _hermitian_basis(d)
-    R = np.stack([T.real.T, -T.imag.T], axis=1).reshape(2 * d * d, d * d).take(active, axis=1)
+    R = np.stack([T.real.T, -T.imag.T], axis=1).reshape(2 * d * d, d * d)[:, on.ravel()]
     X = H.reshape(-1, d * d).view(float)
-    h = np.empty((len(X), len(active)))
+    h = np.empty((len(X), R.shape[1]))
     rows = max(1, _CHUNK_BYTES // X[0].nbytes)
     for k in range(0, len(X), rows):
         np.matmul(X[k:k + rows], R, out=h[k:k + rows])
-    return h.reshape(H.shape[:-2] + (len(active),))
+    return HermitianTracks(h.reshape(H.shape[:-2] + (R.shape[1],)), on)
 
 
-def _liouvillian(D, d, active, keep):
-    """Builder of the real generator A(t) = D + sum_nu h_nu(t) C[nu] from the
-    tracks h of the basis indices ``active``, on the sorted basis indices
-    ``keep`` of a closed sector (``_sectors``).  The sum runs over the nu of
-    H's nonzero entries; the terms it leaves out are exact zeros."""
+def _generator(G, D, active, keep):
+    """Builder of the real generator A(t) = D + sum_nu h_nu(t) G[nu] from the
+    tracks h of the basis indices ``active``, on the sorted coordinates ``keep``
+    of a closed sector (``_sectors``).  The sum runs over the nu of H's filled
+    entries; the terms it leaves out are exact zeros."""
     n = len(keep)
     D = D[np.ix_(keep, keep)].ravel()
-    C = _commutator_generators(d)[np.ix_(active, keep, keep)].reshape(len(active), n * n)
+    G = G[np.ix_(active, keep, keep)].reshape(len(active), n * n)
 
     def generator(h):
-        A = h.reshape(math.prod(h.shape[:-1]), len(active)) @ C
+        A = h.reshape(math.prod(h.shape[:-1]), len(active)) @ G
         A += D
         return A.reshape(h.shape[:-1] + (n, n))
 
     return generator
-
-
-def _liouvillian_link(D, d):
-    """Links of the Hermitian coordinates given the support ``on`` of H: the
-    entries of D and of each C[nu] whose h_nu (of H[i, j] and H[j, i],
-    nu = d i + j) is nonzero somewhere."""
-    C = _commutator_generators(d)
-    return lambda on: (D != 0) | (C[(on | on.T).ravel()] != 0).any(axis=0)
-
-
-def _ket_generator(d, keep):
-    """Builder of the real generator of kets psi = x + i y in the coordinates
-    (x, y): [[Im H, Re H], [-Re H, Im H]], which is -iH written for x and y,
-    on the coordinates ``keep`` (x and y of the levels of a closed sector).
-
-    Every entry reads one float of the (Re, Im) pairs of vec H, so the block
-    is a gather and a sign."""
-    part, level = np.divmod(keep, d)
-    same = part[:, None] == part[None, :]
-    read = 2 * (d * level[:, None] + level[None, :]) + same  # Im H on the diagonal blocks
-    sign = np.where(part[:, None] > part[None, :], -1.0, 1.0)
-
-    def generator(X):
-        return X[..., read] * sign
-
-    return generator
-
-
-def _support(H, d):
-    """The entries (i, j) nonzero at some sample of H, a (d, d) boolean, once
-    after the first block of samples and once after the last; H is read in
-    blocks of the chunk budget."""
-    X = H.reshape(-1, d * d).view(float)
-    rows = max(1, _CHUNK_BYTES // X[0].nbytes)
-    on = np.zeros(2 * d * d)
-    for k in range(0, len(X), rows):
-        on += np.ones(len(X[k:k + rows])) @ np.abs(X[k:k + rows])
-        if k == 0 or k + rows >= len(X):
-            yield on.reshape(d, d, 2).any(axis=2)
 
 
 def _components(link):
@@ -769,29 +733,27 @@ def _components(link):
     return reach.argmax(axis=1)
 
 
-def _sectors(H, d, link):
-    """Closed sectors of a generator on the samples H, as sorted coordinate
-    indices in the order of their first: the connected components of
-    ``link(on)``, the coordinates the generator couples when the (d, d)
-    entries ``on`` of H are nonzero somewhere.  Only the first block of H is
-    read when it already links every coordinate.
-
-    Returns the sectors and ``on``: the entries nonzero at some sample when
-    the whole of H was read, every entry when only the first block was."""
-    blocks = _support(H, d)
-    on = next(blocks)
-    first = _components(link(on))
-    if first.any():
-        for on in blocks:
-            first = _components(link(on))
-    else:
-        on = np.ones((d, d), dtype=bool)
-    return _component_sets(first), on
-
-
-def _component_sets(first):
-    """The sorted indices of each component, in the order of their first."""
+def _sectors(G, D, active):
+    """Closed sectors of A = D + sum_nu h_nu G[nu] over the nu in ``active``: the
+    connected components of the coordinates that D or one of those G[nu] link,
+    as sorted indices in the order of their first."""
+    first = _components((D != 0) | (G[active] != 0).any(axis=0))
     return [np.flatnonzero(first == k) for k in np.flatnonzero(first == np.arange(len(first)))]
+
+
+def _evolve_tracks(hamiltonian, coords, t_span, dt, record_stride, G, D):
+    """The one path of both integrators: the sampler's tracks on the half-step
+    grid, and each closed sector of A = D + sum_nu h_nu G[nu] evolved on its own
+    from ``coords``.  Returns the result and the coordinates its states hold."""
+    grid = _half_step_grid(t_span, dt)
+    H = hamiltonian(grid[0])
+    if not isinstance(H, HermitianTracks):
+        H = _hermitian_tracks(H)
+    active = np.flatnonzero(H.on.ravel())
+    sectors = _sectors(G, D, active)
+    res = _evolve_sectors(grid, H.h, coords, record_stride, sectors,
+                          functools.partial(_generator, G, D, active))
+    return res, np.concatenate(sectors)
 
 
 def evolve_lindblad(hamiltonian, rho0, collapse=(), t_span=None, dt=DEFAULT_DT,
@@ -801,30 +763,17 @@ def evolve_lindblad(hamiltonian, rho0, collapse=(), t_span=None, dt=DEFAULT_DT,
     ``rho0`` may carry leading batch axes; ``hamiltonian(ts)`` may return
     matching batch axes (broadcast rules apply).  ``collapse`` is a list of
     (rate, operator) pairs entering as (rate/2) * (2 L rho L+ - {L+L, rho}).
-    The Hamiltonian is sampled once; each closed sector of the Hermitian
-    coordinates (``_liouvillian_link``) evolves on its own.  A sampler that
-    returns ``HermitianTracks`` hands over the tracks themselves, and the
-    sectors follow from the entries they fill, without a read of the samples.
+    rho evolves in its Hermitian coordinates under D + sum_nu h_nu C_nu
+    (``_commutator_generators``, ``_dissipator``), each closed sector on its
+    own.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[-1]
     T = _hermitian_basis(d)
     coords = rho0.reshape(rho0.shape[:-2] + (d * d,)) @ T.T
-    grid = _half_step_grid(t_span, dt)
-    H = hamiltonian(grid[0])
-    D = _dissipator(collapse, d)
-    link = _liouvillian_link(D, d)
-    if isinstance(H, HermitianTracks):  # the entries they fill give the sectors
-        sectors, on = _component_sets(_components(link(H.on))), H.on
-    else:
-        H = np.asarray(H, dtype=complex)
-        sectors, on = _sectors(H, d, link)
-    active = np.flatnonzero((on | on.T).ravel())  # nu = d i + j of H's nonzero entries
-    h = H.h if isinstance(H, HermitianTracks) else _hermitian_tracks(H, active)
-    del H  # the chunks read only the tracks
-    res = _evolve_sectors(grid, h, coords, record_stride, sectors,
-                          functools.partial(_liouvillian, D, d, active))
-    states = res.states @ T.conj()[np.concatenate(sectors)]
+    res, order = _evolve_tracks(hamiltonian, coords, t_span, dt, record_stride,
+                                _commutator_generators(d), _dissipator(collapse, d))
+    states = res.states @ T.conj()[order]
     res.states = states.reshape(states.shape[:-1] + (d, d))
     return res
 
@@ -833,20 +782,17 @@ def evolve_schrodinger(hamiltonian, psi0, t_span, dt=DEFAULT_DT,
                        record_stride: int | None = None) -> EvolutionResult:
     """Fixed-step RK4 for kets (last axis is the state index).
 
-    A ket evolves in its real coordinates (Re psi, Im psi) under
-    ``_ket_generator``; each closed set of levels, linked by an entry H[i, j]
-    nonzero at some sample, evolves on its own.
+    A ket psi = x + i y evolves in its real coordinates (x, y) under
+    sum_nu h_nu K_nu (``_ket_generators``), the generator builder of
+    ``evolve_lindblad`` with D = 0, each closed sector on its own.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     d = psi0.shape[-1]
-    grid = _half_step_grid(t_span, dt)
-    H = np.asarray(hamiltonian(grid[0]), dtype=complex)
-    sectors = [np.concatenate([keep, d + keep]) for keep in _sectors(H, d, lambda on: on)[0]]
-    X = H.reshape(H.shape[:-2] + (d * d,)).view(float)
-    res = _evolve_sectors(grid, X, np.concatenate([psi0.real, psi0.imag], axis=-1),
-                          record_stride, sectors, functools.partial(_ket_generator, d))
+    res, order = _evolve_tracks(hamiltonian, np.concatenate([psi0.real, psi0.imag], axis=-1),
+                                t_span, dt, record_stride, _ket_generators(d),
+                                np.zeros((2 * d, 2 * d)))
     coords = np.empty_like(res.states)
-    coords[..., np.concatenate(sectors)] = res.states
+    coords[..., order] = res.states
     res.states = coords[..., :d] + 1j * coords[..., d:]
     return res
 
@@ -870,7 +816,9 @@ def parallel_transport_check(traj: PathTrajectory, pulse: DrivePulse,
     psi0 = np.stack([plus, minus])
     res = evolve_schrodinger(sampler, psi0, (0.0, pulse.tau), dt, record_stride=1)
     H = sampler(res.times)
-    expval = np.einsum("tni,tij,tnj->tn", res.states.conj(), H, res.states)
+    rho = np.einsum("tni,tnj->tnij", res.states, res.states.conj()).reshape(-1, 2, 4)
+    # <psi|H|psi> = sum_nu h_nu Tr(B_nu psi psi^+), and Tr(B_nu rho) = T[nu] vec(rho)
+    expval = np.einsum("tm,tnm->tn", H.h, (rho @ _hermitian_basis(2)[H.on.ravel()].T).real)
     overlap = np.abs(np.einsum("ni,ni->n", psi0.conj(), res.states[-1]))
     return float(np.abs(expval).max()), float(np.abs(1.0 - overlap).max())
 

@@ -135,8 +135,11 @@ class TestSimulate:
         assert len(calls) == 1
         assert (tmp_path / "once" / "trace_pi8_three_level.csv").is_file()
 
-    @pytest.mark.parametrize("ket", [[0, 0], [1.0], [1.0, 0.0, 0.5], [[1.0, 0.0]]])
-    def test_bad_initial_state_writes_nothing(self, tmp_path, capsys, ket):
+    @pytest.mark.parametrize("ket, error", [
+        ([0, 0], "ValueError"), ([1.0], "ValueError"), ([1.0, 0.0, 0.5], "ValueError"),
+        ([[1.0, 0.0]], "ConfigError"), ([True, False], "ConfigError"), ([1, "x"], "ConfigError"),
+    ])
+    def test_bad_initial_state_writes_nothing(self, tmp_path, capsys, ket, error):
         out = tmp_path / "bad_ket"
         cfg = write_config(tmp_path, "bad_ket.json", {
             "gate": "pi8", "dt_ns": 0.05, "initial_state": ket, "out_dir": str(out),
@@ -145,7 +148,7 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         payload = json.loads(err[0][len("error: "):])
-        assert payload["type"] == "ValueError" and "initial_state" in payload["message"]
+        assert payload["type"] == error and "initial_state" in payload["message"]
         assert not out.exists()
 
 
@@ -285,6 +288,38 @@ class TestOptimize:
         assert tau < 19.0
 
 
+CONFIGS = os.path.join(os.path.dirname(SRC_DIR), "configs")
+
+
+class TestOneHamiltonianForm:
+    def test_no_shipped_run_converts_dense_samples(self, tmp_path, monkeypatch):
+        # every sampler hands the integrators tracks; dense samples would be
+        # converted by _hermitian_tracks
+        from geogate import acceptance, dynamics
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense samples were converted to tracks")
+
+        monkeypatch.setattr(dynamics, "_hermitian_tracks", refuse)
+        two_qubit = load_config(os.path.join(CONFIGS, "two_qubit_cphase.json"))
+        effective = {"two_qubit": {**two_qubit["two_qubit"], "model": "effective"}}
+        runs = [
+            ["simulate", "--config", os.path.join(CONFIGS, "leakage_simulation.json"),
+             "--dt", "0.01"],
+            ["simulate", "--config", os.path.join(CONFIGS, "leakage_simulation.json"),
+             "--model", "two_level", "--dt", "0.01"],
+            ["scan", "--config", os.path.join(CONFIGS, "robustness_scan.json"), "--dt", "0.05"],
+            ["two-qubit", "--config", os.path.join(CONFIGS, "two_qubit_cphase.json"),
+             "--dt", "0.02"],
+            ["two-qubit", "--config", write_config(tmp_path, "effective.json", effective),
+             "--dt", "0.02"],
+        ]
+        for n, argv in enumerate(runs):
+            assert main(argv + ["--out", str(tmp_path / str(n))]) == 0, argv
+        assert acceptance.criterion_4_unitary_oracle().passed
+        assert acceptance.criterion_5_transport_and_cyclicity().passed
+
+
 # one mistyped value per integer, number and boolean key the commands read
 MISTYPED = [
     ("synth", {"gate": "pi8", "grid_points": "4001"}, "grid_points", "an integer"),
@@ -349,6 +384,8 @@ NON_FINITE = [
     ("two-qubit", {"two_qubit": {"g_mhz": math.nan}}, "g_mhz", "a number", "NaN"),
     ("simulate", {"gate": "pi8", "coeffs": [0.1, math.nan]}, "coeffs", "a list of numbers",
      "[0.1, NaN]"),
+    ("simulate", {"gate": "pi8", "initial_state": [1.0, -math.inf]}, "initial_state",
+     "a list of numbers", "[1.0, -Infinity]"),
     ("optimize", {"gate": "pi8", "omega0_mhz": 10 ** 400}, "omega0_mhz", "a number",
      str(10 ** 400)),  # an integer beyond every float
 ]

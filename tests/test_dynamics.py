@@ -10,8 +10,8 @@ from geogate.dynamics import (
     COMPUTATIONAL_IDX,
     DecoherenceRates,
     ErrorFractions,
+    HermitianTracks,
     TransmonParams,
-    _drive_hamiltonian,
     _drive_tracks,
     aux_states,
     TwoQubitDrive,
@@ -32,6 +32,7 @@ from geogate.dynamics import (
     IDX_01, IDX_02, IDX_10, IDX_11, IDX_20, LEVELS,
 )
 from geogate.fidelity import dynamical_comparator, fidelity_dynamics
+from dense_reference import coupled_hamiltonian, drive_hamiltonian
 from geogate.paths import sample_trajectory
 from geogate.pulses import (
     CATALOG,
@@ -124,13 +125,18 @@ class TestLindbladBasics:
         assert np.allclose(res.states[0], rho0)
 
 
+def dense(H):
+    """Dense samples of a sampler's output, tracks or dense."""
+    return H.dense() if isinstance(H, HermitianTracks) else H
+
+
 def reference_rk4(hamiltonian, y0, rhs, t_span, dt, record_stride=None):
     """Plain per-step RK4 on the half-step grid, recording like the integrators."""
     t0, t1 = t_span
     n_steps = max(1, int(round((t1 - t0) / dt)))
     h = (t1 - t0) / n_steps
     ts = np.linspace(t0, t1, 2 * n_steps + 1)
-    H = hamiltonian(ts)
+    H = dense(hamiltonian(ts))
     y = np.array(y0, dtype=complex)
     times, states = [ts[0]], [y]
     for k in range(n_steps):
@@ -196,7 +202,7 @@ class TestRK4Core:
         eps = np.linspace(-0.1, 0.1, 5)
 
         def sampler(ts):
-            return _drive_hamiltonian(pulse, ts, eps, 0.0)[:, :, None]
+            return drive_hamiltonian(pulse, ts, eps, 0.0)[:, :, None]
 
         basis = np.zeros((4, 2, 2), dtype=complex)
         for k in range(4):
@@ -289,22 +295,22 @@ class TestErrorInjection:
     def test_zero_errors_identity(self):
         pulse = synthesize(CATALOG["pi8"], grid_points=401)
         ts = np.linspace(0, pulse.tau, 7)
-        H0 = two_level_hamiltonian(pulse)(ts)
-        assert np.array_equal(two_level_hamiltonian(pulse, ErrorFractions())(ts), H0)
+        h0 = two_level_hamiltonian(pulse)(ts).h
+        assert np.array_equal(two_level_hamiltonian(pulse, ErrorFractions())(ts).h, h0)
 
     def test_epsilon_scales_drive(self):
         pulse = synthesize(CATALOG["pi8"], grid_points=401)
         ts = np.linspace(0, pulse.tau, 7)
-        H0 = two_level_hamiltonian(pulse)(ts)
-        H1 = two_level_hamiltonian(pulse, ErrorFractions(epsilon=0.1))(ts)
+        H0 = two_level_hamiltonian(pulse)(ts).dense()
+        H1 = two_level_hamiltonian(pulse, ErrorFractions(epsilon=0.1))(ts).dense()
         assert np.allclose(H1[..., 1, 0], 1.1 * H0[..., 1, 0], atol=1e-15)
         assert np.allclose(H1[..., 0, 0], H0[..., 0, 0], atol=1e-15)
 
     def test_delta_offsets_splitting(self):
         pulse = synthesize(CATALOG["pi8"], grid_points=401)
         ts = np.array([0.0, pulse.tau / 3])
-        dH = (two_level_hamiltonian(pulse, ErrorFractions(delta=-0.1))(ts)
-              - two_level_hamiltonian(pulse)(ts))
+        dH = (two_level_hamiltonian(pulse, ErrorFractions(delta=-0.1))(ts).dense()
+              - two_level_hamiltonian(pulse)(ts).dense())
         assert np.allclose(dH[..., 1, 1], -0.05 * pulse.omega0, atol=1e-15)
         assert np.allclose(dH[..., 0, 0], +0.05 * pulse.omega0, atol=1e-15)
 
@@ -327,9 +333,25 @@ TRACK_ERRORS = {
 }
 
 
+def assert_tracks_project(tracks, H):
+    """``tracks`` hold ``_hermitian_tracks`` of the dense samples H bit for bit,
+    signed zeros included; the track of an entry H leaves zero everywhere is +0.0."""
+    ref = dynamics._hermitian_tracks(H)
+    assert not (ref.on & ~tracks.on).any()  # every entry nonzero somewhere has a track
+    active = np.flatnonzero(tracks.on.ravel()).tolist()
+    columns = [active.index(nu) for nu in np.flatnonzero(ref.on.ravel())]
+    assert np.array_equal(tracks.h[..., columns].view(np.int64), ref.h.view(np.int64))
+    assert not np.delete(tracks.h, columns, axis=-1).view(np.int64).any()
+
+
+def dense_tolerance(H):
+    """A few ulp of the largest entry: the rounding of sum_nu h_nu B_nu."""
+    return 4 * np.finfo(float).eps * np.abs(H).max()
+
+
 class TestDriveTracks:
     """``_drive_tracks`` writes the h_nu of the drive directly; they are the
-    projection of the dense samples of ``_drive_hamiltonian``, bit for bit."""
+    projection of the dense reference samples, bit for bit."""
 
     @pytest.mark.parametrize("errors", TRACK_ERRORS)
     @pytest.mark.parametrize("kind", TRACK_PULSES)
@@ -339,12 +361,10 @@ class TestDriveTracks:
         ts = _half_step_grid((0.0, pulse.tau), 0.01)[0]
         anh = ANH if d == 3 else None
         tracks = _drive_tracks(pulse, ts, *TRACK_ERRORS[errors], anharmonicity=anh)
-        H = _drive_hamiltonian(pulse, ts, *TRACK_ERRORS[errors], anharmonicity=anh)
+        H = drive_hamiltonian(pulse, ts, *TRACK_ERRORS[errors], anharmonicity=anh)
         assert tracks.shape == H.shape and tracks.nbytes == tracks.h.nbytes
-        support = np.abs(H).reshape(-1, d, d).max(axis=0) > 0
-        assert not (support & ~tracks.on).any()  # every entry nonzero somewhere has a track
-        ref = dynamics._hermitian_tracks(H, np.flatnonzero(tracks.on.ravel()))
-        assert np.array_equal(tracks.h.view(np.int64), ref.view(np.int64))  # signed zeros count
+        assert_tracks_project(tracks, H)
+        assert np.abs(tracks.dense() - H).max() <= dense_tolerance(H)
 
     @pytest.mark.parametrize("rates", [STRONG, DecoherenceRates()], ids=["strong", "closed"])
     @pytest.mark.parametrize("d", [2, 3])
@@ -353,25 +373,76 @@ class TestDriveTracks:
         eps, anh = np.linspace(-0.1, 0.1, 3), (ANH if d == 3 else None)
         basis = computational_basis(d, (0, 1))
 
-        def dense(ts):
-            return _drive_hamiltonian(pulse, ts, eps, 0.0, anh)[:, :, None]
+        def dense_samples(ts):
+            return drive_hamiltonian(pulse, ts, eps, 0.0, anh)[:, :, None]
 
         def tracked(ts):
             tracks = _drive_tracks(pulse, ts, eps, 0.0, anh)
             return replace(tracks, h=tracks.h[:, :, None])
 
-        def refuse(*args):
-            raise AssertionError("the samples were read for their support")
-
         def run(sampler):
             return evolve_lindblad(sampler, basis, qubit_collapse(rates, d), (0.0, pulse.tau),
                                    dt=0.02, record_stride=100)
 
-        want = run(dense)
-        monkeypatch.setattr(dynamics, "_support", refuse)
+        want = run(dense_samples)
+        monkeypatch.setattr(dynamics, "_hermitian_tracks", refuse_dense)
         got = run(tracked)
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.states.view(np.int64), want.states.view(np.int64))
+
+
+def refuse_dense(*args):
+    raise AssertionError("dense samples were converted to tracks")
+
+
+def exchange_on():
+    """The entries of the three exchange terms of the coupled pair."""
+    on = np.zeros((6, 6), dtype=bool)
+    for i, j in [(IDX_10, IDX_01), (IDX_11, IDX_02), (IDX_20, IDX_11)]:
+        on[i, j] = on[j, i] = True
+    return on
+
+
+COUPLED_DRIVES = {
+    "criterion_7": lambda: two_qubit_drive(grid_points=4001),
+    # eta = 0 and zero phases: the samples at t = 0 hold signed zeros
+    "unmodulated": lambda: (paper_params(), constant_subspace_drive(10.0, 101)),
+}
+
+
+class TestCoupledTracks:
+    """``two_qubit_full_hamiltonian`` writes the tracks of its three exchange terms
+    directly; they are the projection of the dense reference samples, bit for bit."""
+
+    @pytest.mark.parametrize("drive", COUPLED_DRIVES)
+    def test_tracks_are_the_projection_of_the_dense_samples(self, drive):
+        params, drive = COUPLED_DRIVES[drive]()
+        ts = _half_step_grid((0.0, drive.tau), 0.02)[0]
+        tracks = two_qubit_full_hamiltonian(params, drive)(ts)
+        H = coupled_hamiltonian(params, drive)(ts)
+        assert tracks.shape == H.shape == (len(ts), 6, 6) and tracks.nbytes == tracks.h.nbytes
+        assert np.array_equal(tracks.on, exchange_on()) and tracks.h.shape == (len(ts), 6)
+        assert_tracks_project(tracks, H)
+        assert np.array_equal(dynamics._hermitian_tracks(H).on, tracks.on)
+        assert np.abs(tracks.dense() - H).max() <= dense_tolerance(H)
+
+    @pytest.mark.parametrize("rates", [STRONG, DecoherenceRates()], ids=["strong", "closed"])
+    def test_evolution_from_tracks_is_the_dense_evolution(self, rates, monkeypatch):
+        params, drive = two_qubit_drive(grid_points=801)
+        basis = computational_basis(6, COMPUTATIONAL_IDX)
+        psi0 = np.eye(6, dtype=complex)[[IDX_11, IDX_01]]
+        span = (0.0, drive.tau)
+
+        def run(sampler):
+            rho = evolve_lindblad(sampler, basis, two_qubit_collapse(rates), span, dt=0.02,
+                                  record_stride=100)
+            psi = evolve_schrodinger(sampler, psi0, span, dt=0.02, record_stride=100)
+            return np.concatenate([rho.states.ravel(), psi.states.ravel()])
+
+        want = run(coupled_hamiltonian(params, drive))
+        monkeypatch.setattr(dynamics, "_hermitian_tracks", refuse_dense)
+        got = run(two_qubit_full_hamiltonian(params, drive))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestThreeLevel:
@@ -382,7 +453,7 @@ class TestThreeLevel:
         pulse = DrivePulse(tau=10.0, t=t, delta=np.zeros(n), omega=np.zeros(n),
                            phase=np.zeros(n), beta_dot=np.zeros(n),
                            zeta=np.zeros(n), omega0=0.1)
-        H = three_level_hamiltonian(pulse, ANH)(np.array([1.0]))[0]
+        H = three_level_hamiltonian(pulse, ANH)(np.array([1.0])).dense()[0]
         assert np.allclose(H, np.diag([0, 0, -ANH]), atol=1e-15)
 
     def test_qubit_block_matches_two_level(self):
@@ -390,12 +461,13 @@ class TestThreeLevel:
         ts = np.linspace(0, pulse.tau, 9)
         err = ErrorFractions(epsilon=0.05, delta=-0.03)
         for e in (None, err):
-            H3 = three_level_hamiltonian(pulse, ANH, e)(ts)
-            H2 = two_level_hamiltonian(pulse, e)(ts)
-            assert np.array_equal(H3[..., :2, :2], H2)
-            assert np.array_equal(H3[..., 2, 1], math.sqrt(2) * H2[..., 1, 0])
-            assert np.array_equal(H3[..., 1, 2], np.conj(H3[..., 2, 1]))
-            assert np.array_equal(H3[..., 2, 2], 3 * H2[..., 1, 1] - ANH)
+            h3 = three_level_hamiltonian(pulse, ANH, e)(ts).h
+            h2 = two_level_hamiltonian(pulse, e)(ts).h
+            # the qubit block: nu = 0, 1, 3, 4 of 3 x 3 and nu = 0, 1, 2, 3 of 2 x 2
+            assert np.array_equal(h3[..., :4], h2)
+            # H[2, 1] = sqrt(2) H[1, 0] on nu = 5, 7 (Re and -Im of H[2, 1])
+            assert np.array_equal(h3[..., 4:6], math.sqrt(2) * h2[..., 1:3])
+            assert np.array_equal(h3[..., 6], 3 * h2[..., 3] - ANH)
 
     def test_drive_element_convention(self):
         # |1><0| carries conj(drag) exp(i phi) / 2; on the pulse grid the
@@ -403,8 +475,8 @@ class TestThreeLevel:
         pulse = drag_correct(synthesize(CATALOG["pi8"], grid_points=801), ANH)
         idx = np.arange(0, len(pulse), 50)
         expected = np.conj(pulse.drag[idx]) * np.exp(1j * pulse.phase[idx]) / 2
-        for H in (two_level_hamiltonian(pulse)(pulse.t[idx]),
-                  three_level_hamiltonian(pulse, ANH)(pulse.t[idx])):
+        for H in (two_level_hamiltonian(pulse)(pulse.t[idx]).dense(),
+                  three_level_hamiltonian(pulse, ANH)(pulse.t[idx]).dense()):
             assert np.allclose(H[..., 1, 0], expected, rtol=0, atol=1e-15)
             assert np.allclose(H[..., 0, 1], np.conj(expected), rtol=0, atol=1e-15)
         assert np.abs(pulse.drag[idx].imag).max() > 1e-3 * pulse.omega0
@@ -524,7 +596,7 @@ class TestTwoQubitHamiltonians:
         from scipy.integrate import cumulative_trapezoid
         params, drive = two_qubit_drive()
         pulse = drive.pulse
-        H = two_qubit_full_hamiltonian(params, drive)(pulse.t)
+        H = two_qubit_full_hamiltonian(params, drive)(pulse.t).dense()
         bare = math.sqrt(2) * params.g * np.exp(1j * (params.Delta + params.anh_b) * pulse.t)
         nu = pulse.delta + params.anh_b + params.Delta
         theta = cumulative_trapezoid(nu, pulse.t, initial=0.0) + pulse.phase
@@ -535,7 +607,7 @@ class TestTwoQubitHamiltonians:
     def test_zero_modulation_leaves_bare_coupling(self):
         params = paper_params()
         drive = constant_subspace_drive(10.0, 101)
-        H = two_qubit_full_hamiltonian(params, drive)(np.array([0.0, 1.0]))
+        H = two_qubit_full_hamiltonian(params, drive)(np.array([0.0, 1.0])).dense()
         assert abs(H[0, IDX_10, IDX_01] - params.g) < 1e-12
         assert abs(H[1, IDX_10, IDX_01] - params.g * np.exp(1j * params.Delta)) < 1e-12
         assert abs(H[1, IDX_11, IDX_02]) == pytest.approx(math.sqrt(2) * params.g, rel=1e-12)
@@ -546,7 +618,8 @@ class TestTwoQubitHamiltonians:
         _, drive = two_qubit_drive()
         drive_params_zero_g = params
         H = two_qubit_full_hamiltonian(drive_params_zero_g, drive)(np.linspace(0, 1, 5))
-        assert np.abs(H).max() == 0.0
+        assert not H.h.view(np.int64).any()  # +0.0 everywhere
+        assert np.abs(H.dense()).max() == 0.0
 
     def test_effective_rabi_oscillation(self):
         # constant coupling, zero detuning: full population transfer at
@@ -655,7 +728,7 @@ class TestTwoQubitHamiltonians:
                     (IDX_20, IDX_11, np.kron(unit(2, 1), unit(0, 1)))]
 
         def nine(ts):
-            H6 = six(ts)
+            H6 = six(ts).dense()
             H = sum(H6[:, i, j, None, None] * op for i, j, op in exchange)
             return H + np.conj(np.swapaxes(H, -1, -2))
 
@@ -672,7 +745,7 @@ class TestTwoQubitHamiltonians:
         H9 = nine(ts)
         n9 = np.add.outer(np.arange(3), np.arange(3)).ravel()
         assert np.all(H9[:, n9[:, None] != n9[None, :]] == 0.0)
-        assert np.array_equal(six(ts), H9[:, kept][:, :, kept])
+        assert np.array_equal(six(ts).dense(), H9[:, kept][:, :, kept])
 
         # the 16 computational |a><b| evolve identically, and the dropped
         # levels stay exactly empty
@@ -732,17 +805,14 @@ def vec_liouvillian(H, collapse):
     return A
 
 
-def support_liouvillian(D, d, on, keep):
-    """``_liouvillian`` on the tracks of the coordinates of the entries ``on``,
-    as a builder that takes the samples H."""
-    active = np.flatnonzero((on | on.T).ravel())
-    generator = dynamics._liouvillian(D, d, active, keep)
-    return lambda H: generator(dynamics._hermitian_tracks(H, active))
-
-
-def full_sum_liouvillian(D, d, keep):
-    """``_liouvillian`` with every coordinate of H in the sum over nu."""
-    return support_liouvillian(D, d, np.ones((d, d), dtype=bool), keep)
+def liouvillian(D, d, keep):
+    """The generator of ``evolve_lindblad`` on the coordinates ``keep``, summed over
+    the nu of the entries the dense samples H fill, as a builder that takes H."""
+    def generator(H):
+        tracks = dynamics._hermitian_tracks(H)
+        active = np.flatnonzero(tracks.on.ravel())
+        return dynamics._generator(dynamics._commutator_generators(d), D, active, keep)(tracks.h)
+    return generator
 
 
 COLLAPSE_SETS = [(2, "qubit"), (3, "qubit"), (6, "qubit"), (6, "two_qubit")]
@@ -771,7 +841,7 @@ class TestHermitianCoordinates:
         H = np.stack([random_hermitian(rng, d) for _ in range(3)])
         collapse = collapse_set(d, kind)
         T = reference_hermitian_basis(d).conj().reshape(d * d, d * d)
-        A = full_sum_liouvillian(dynamics._dissipator(collapse, d), d, np.arange(d * d))(H)
+        A = liouvillian(dynamics._dissipator(collapse, d), d, np.arange(d * d))(H)
         assert A.shape == (3, d * d, d * d) and A.dtype == np.float64
         for Hk, Ak in zip(H, A):
             rotated = T @ vec_liouvillian(Hk, collapse) @ T.conj().T
@@ -823,9 +893,13 @@ class TestHermitianCoordinates:
         assert np.abs(res.states[-1] - rho0).max() > 1e-2
 
 
+def found_sectors(H, G, D):
+    """The sectors the integrators find for the dense samples H under the generators G."""
+    return dynamics._sectors(G, D, np.flatnonzero(dynamics._hermitian_tracks(H).on.ravel()))
+
+
 def liouvillian_sectors(H, D):
-    d = H.shape[-1]
-    return dynamics._sectors(H, d, dynamics._liouvillian_link(D, d))[0]
+    return found_sectors(H, dynamics._commutator_generators(H.shape[-1]), D)
 
 
 def excitation_sectors():
@@ -840,9 +914,9 @@ class TestExcitationSectors:
     def criterion_7_generator(self, rates=STRONG):
         params, drive = two_qubit_drive(grid_points=4001)
         ts = _half_step_grid((0.0, drive.tau), 0.02)[0]
-        H = two_qubit_full_hamiltonian(params, drive)(ts)
+        H = coupled_hamiltonian(params, drive)(ts)
         D = dynamics._dissipator(two_qubit_collapse(rates), 6)
-        return H, D, full_sum_liouvillian(D, 6, np.arange(36))(H)
+        return H, D, previous_liouvillian(D, 6, np.arange(36), H)  # every nu in the sum
 
     def test_no_entries_across_sectors(self):
         _, _, A = self.criterion_7_generator()
@@ -862,11 +936,12 @@ class TestExcitationSectors:
             assert np.array_equal(keep, np.flatnonzero(K == k))
 
     def test_sector_generator_is_the_sliced_one(self):
-        H, D, A = self.criterion_7_generator()
+        H, D, _ = self.criterion_7_generator()
+        A = liouvillian(D, 6, np.arange(36))(H)
         K = excitation_sectors()
         for k in range(3):
             keep = np.flatnonzero(K == k)
-            block = full_sum_liouvillian(D, 6, keep)(H)
+            block = liouvillian(D, 6, keep)(H)
             assert np.array_equal(block, A[:, keep][:, :, keep])
 
     def test_sector_channel_matches_the_full_vec_space(self):
@@ -878,13 +953,14 @@ class TestExcitationSectors:
             basis[n, a, b] = 1.0
         sampler = two_qubit_full_hamiltonian(params, drive)
         grid = _half_step_grid((0.0, drive.tau), 0.02)
-        T = dynamics._hermitian_basis(6)
+        tracks = sampler(grid[0])
+        T, C = dynamics._hermitian_basis(6), dynamics._commutator_generators(6)
         for rates in (STRONG, DecoherenceRates()):
             collapse = two_qubit_collapse(rates)
             every = np.arange(36)
-            full = dynamics._liouvillian(dynamics._dissipator(collapse, 6), 6, every, every)
-            ref = dynamics._evolve(grid, dynamics._hermitian_tracks(sampler(grid[0]), every),
-                                   basis.reshape(16, 36) @ T.T, None, full)[0]
+            full = dynamics._generator(C, dynamics._dissipator(collapse, 6),
+                                       np.flatnonzero(tracks.on.ravel()), every)
+            ref = dynamics._evolve(grid, tracks.h, basis.reshape(16, 36) @ T.T, None, full)[0]
             ref = (ref @ T.conj()).reshape(16, 6, 6)
             got = evolve_lindblad(sampler, basis, collapse, (0.0, drive.tau), 0.02).final
             assert got.shape == (16, 6, 6)
@@ -898,13 +974,13 @@ def drive_samples(d, batched=False):
     pulse = drag_correct(synthesize(CATALOG["pi8"]), ANH) if d == 3 else synthesize(CATALOG["pi8"])
     ts = _half_step_grid((0.0, pulse.tau), 0.01)[0]
     epsilon = np.linspace(-0.1, 0.1, 11) if batched else 0.0
-    H = _drive_hamiltonian(pulse, ts, epsilon, anharmonicity=ANH if d == 3 else None)
+    H = drive_hamiltonian(pulse, ts, epsilon, anharmonicity=ANH if d == 3 else None)
     return H[..., None, :, :] if batched else H
 
 
 def coupled_samples():
     params, drive = two_qubit_drive()
-    return two_qubit_full_hamiltonian(params, drive)(_half_step_grid((0.0, drive.tau), 0.02)[0])
+    return coupled_hamiltonian(params, drive)(_half_step_grid((0.0, drive.tau), 0.02)[0])
 
 
 SECTOR_MODELS = {
@@ -935,7 +1011,7 @@ class TestSectors:
         for k, keep in enumerate(found):
             assert np.array_equal(keep, np.sort(keep))
             label[keep] = k
-        A = full_sum_liouvillian(D, d, np.arange(d * d))(H).reshape(-1, d * d, d * d)
+        A = previous_liouvillian(D, d, np.arange(d * d), H).reshape(-1, d * d, d * d)
         assert np.all(A[:, label[:, None] != label[None, :]] == 0.0)
         if model != "coupled":
             assert len(found) == 1  # the drive links every coordinate
@@ -946,7 +1022,7 @@ class TestSectors:
         assert [list(keep) for keep in found] == [[k] for k in range(9)]
 
     def test_a_coupling_after_the_first_block_joins_sectors(self):
-        # the drive starts after more samples than one block of the chunk budget holds
+        # the drive starts after more samples than one block of the projection holds
         ts = np.linspace(0.0, 4.0, 8001)
         H = np.zeros((len(ts), 2, 2), dtype=complex)
         H[ts > 3.0, 0, 1] = H[ts > 3.0, 1, 0] = 0.5
@@ -960,12 +1036,9 @@ class TestSectors:
 
 
 def ket_sectors(H):
-    return dynamics._sectors(H, H.shape[-1], lambda on: on)[0]
-
-
-def ket_tracks(H):
-    """The (real, imaginary) pairs of vec H that ``_ket_generator`` reads."""
-    return H.reshape(H.shape[:-2] + (H.shape[-1] ** 2,)).view(float)
+    """Sectors of the ket coordinates (Re psi, Im psi) for the dense samples H."""
+    d = H.shape[-1]
+    return found_sectors(H, dynamics._ket_generators(d), np.zeros((2 * d, 2 * d)))
 
 
 def random_drive(seed, d):
@@ -1011,21 +1084,31 @@ class TestKetCoordinates:
         assert np.abs(U - ref.T).max() <= 1e-14
 
     def test_generator_is_minus_i_h_for_real_and_imaginary_parts(self):
+        B = reference_hermitian_basis(3)
+        K = dynamics._ket_generators(3)
+        assert np.array_equal(K, np.block([[B.imag, B.real], [-B.real, B.imag]]))
+        assert not K.flags.writeable
         rng = np.random.default_rng(5)
         H = np.stack([random_hermitian(rng, 3) for _ in range(4)])
-        A = dynamics._ket_generator(3, np.arange(6))(ket_tracks(H))
-        assert np.array_equal(A, np.block([[H.imag, H.real], [-H.real, H.imag]]))
+        tracks = dynamics._hermitian_tracks(H)
+        active, zero = np.flatnonzero(tracks.on.ravel()), np.zeros((6, 6))
+        assert len(active) == 9
+        A = dynamics._generator(K, zero, active, np.arange(6))(tracks.h)
+        assert np.abs(A - np.block([[H.imag, H.real], [-H.real, H.imag]])).max() <= 1e-15
         keep = np.array([0, 2, 3, 5])  # levels 0 and 2
-        assert np.array_equal(dynamics._ket_generator(3, keep)(ket_tracks(H)),
+        assert np.array_equal(dynamics._generator(K, zero, active, keep)(tracks.h),
                               A[:, keep][:, :, keep])
         psi = rng.normal(size=3) + 1j * rng.normal(size=3)
         dz = A[0] @ np.concatenate([psi.real, psi.imag])
         assert np.abs(dz[:3] + 1j * dz[3:] - (-1j * H[0] @ psi)).max() <= 1e-14
 
     def test_coupled_sectors_are_the_excitation_numbers(self):
+        # x and y of the levels of one excitation number; H has no diagonal, so
+        # the x and y of |00> are not linked
         found = ket_sectors(coupled_samples())
-        assert [[LEVELS[k] for k in keep] for keep in found] == [
-            [(0, 0)], [(0, 1), (1, 0)], [(0, 2), (1, 1), (2, 0)]]
+        assert [list(keep) for keep in found] == [[0], [1, 2, 7, 8], [3, 4, 5, 9, 10, 11], [6]]
+        assert [sorted({LEVELS[k % 6] for k in keep}) for keep in found] == [
+            [(0, 0)], [(0, 1), (1, 0)], [(0, 2), (1, 1), (2, 0)], [(0, 0)]]
 
     @pytest.mark.parametrize("level", [IDX_11, IDX_01])
     def test_a_ket_in_one_sector_leaves_the_others_at_zero(self, level, monkeypatch):
@@ -1033,19 +1116,33 @@ class TestKetCoordinates:
         sampler = two_qubit_full_hamiltonian(params, drive)
         built = []
 
-        def spy(d, keep):
+        def spy(G, D, active, keep):
             built.append(list(keep))
-            return generator(d, keep)
+            return generator(G, D, active, keep)
 
-        generator = dynamics._ket_generator
-        monkeypatch.setattr(dynamics, "_ket_generator", spy)
+        generator = dynamics._generator
+        monkeypatch.setattr(dynamics, "_generator", spy)
         res = evolve_schrodinger(sampler, np.eye(6, dtype=complex)[level], (0.0, drive.tau),
                                  dt=0.02, record_stride=50)
         inside = next(keep for keep in ket_sectors(coupled_samples()) if level in keep)
-        assert built == [list(inside) + list(6 + inside)]  # only that sector is evolved
-        outside = np.setdiff1d(np.arange(6), inside)
+        assert built == [list(inside)]  # only that sector is evolved
+        levels = np.unique(inside % 6)
+        outside = np.setdiff1d(np.arange(6), levels)
         assert np.all(res.states[:, outside] == 0.0)
-        assert np.abs(res.states[-1, inside]).max() < 1.0
+        assert np.abs(res.states[-1, levels]).max() < 1.0
+
+    def test_kets_do_not_evolve_through_evolve_lindblad(self, monkeypatch):
+        # the benchmark's tracer counts every evolve_lindblad call as Lindblad work
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ket evolution called evolve_lindblad")
+
+        monkeypatch.setattr(dynamics, "evolve_lindblad", refuse)
+        params, drive = two_qubit_drive(grid_points=801)
+        psi = evolve_schrodinger(two_qubit_full_hamiltonian(params, drive),
+                                 np.eye(6, dtype=complex)[IDX_11], (0.0, drive.tau), dt=0.02)
+        assert abs(np.linalg.norm(psi.final) - 1.0) <= 1e-7  # RK4 at 20 ps
+        U = propagator(random_drive(0, 3), 3, (0.0, 3.0), dt=0.01)
+        assert np.abs(U.conj().T @ U - np.eye(3)).max() <= 1e-7
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("d", [2, 3, 6])
@@ -1072,14 +1169,19 @@ class TestKetCoordinates:
         h = (H.reshape(-1, d * d) @ T.T).real
         A = h @ C.reshape(d * d, d ** 4)
         A += D.ravel()
-        got = full_sum_liouvillian(D, d, np.arange(d * d))(H)
+        got = liouvillian(D, d, np.arange(d * d))(H)
         assert np.array_equal(got, A.reshape(-1, d * d, d * d))
 
 
 def scan_batch_sampler(pulse, points=11):
     """The qubit drive with a point axis of amplitude errors, as a robustness scan batches it."""
     eps = np.linspace(-0.1, 0.1, points)
-    return lambda ts: _drive_hamiltonian(pulse, ts, eps, 0.0)[:, :, None]
+
+    def sampler(ts):
+        tracks = _drive_tracks(pulse, ts, eps, 0.0)
+        return replace(tracks, h=tracks.h[:, :, None])
+
+    return sampler
 
 
 def computational_basis(d, levels):
@@ -1135,9 +1237,9 @@ class TestChunks:
     def test_coupled_sectors_take_at_least_128_steps_per_chunk(self, monkeypatch):
         chunks = {}
 
-        def spy(A1, A2, A3, h):
+        def spy(A1, *args):
             chunks.setdefault(A1.shape[-1], []).append(len(A1))
-            return increment(A1, A2, A3, h)
+            return increment(A1, *args)
 
         increment = dynamics._rk4_increment
         monkeypatch.setattr(dynamics, "_rk4_increment", spy)
@@ -1314,9 +1416,9 @@ class TestRepeatedSteps:
     def step_maps_formed(self, pulse, monkeypatch):
         formed = []
 
-        def spy(A1, A2, A3, h):
+        def spy(A1, *args):
             formed.append(len(A1))
-            return increment(A1, A2, A3, h)
+            return increment(A1, *args)
 
         increment = dynamics._rk4_increment
         monkeypatch.setattr(dynamics, "_rk4_increment", spy)
@@ -1386,8 +1488,14 @@ class TestKernelBits:
         A = rng.normal(size=(2 * c + 1,) + shape)
         A[rng.random(A.shape) < 0.3] = 0.0  # generators are sparse
         h = 0.01
-        E = dynamics._rk4_increment(A[:-1:2], A[1::2], A[2::2], h)
+        E = dynamics._rk4_increment(A[:-1:2], A[1::2], A[2::2], h, [])
         assert np.array_equal(E, previous_rk4_increment(A[:-1:2], A[1::2], A[2::2], h))
+        work = []
+        for k in (c, c - 5, c):  # the chunks of one evolution share the buffers
+            steps = (A[:2 * k:2], A[1:2 * k:2], A[2:2 * k + 1:2])
+            got = dynamics._rk4_increment(*steps, h, work)
+            assert np.array_equal(got, previous_rk4_increment(*steps, h))
+            assert len(work) == 3 and len(work[0]) == c and np.shares_memory(got, work[1])
         for X in (A, E):
             assert np.array_equal(dynamics._then(X[1::2], X[:-1:2]),
                                   X[1::2] + X[:-1:2] + X[1::2] @ X[:-1:2])
@@ -1395,31 +1503,26 @@ class TestKernelBits:
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_generator_on_the_nonzero_coordinates(self, d):
         rng = np.random.default_rng(50 + d)
-        rows = dynamics._CHUNK_BYTES // (16 * d * d)  # samples in the first block read
+        rows = dynamics._CHUNK_BYTES // (16 * d * d)  # samples in one block of the projection
         H = np.stack([random_hermitian(rng, d) for _ in range(rows + 40)])
         H[:, 0, 0] = 0.0
         zero = {0}
         if d > 2:
             H[:, 0, d - 1] = H[:, d - 1, 0] = 0.0
             zero |= {d - 1, d * (d - 1)}
-        # the first block is diagonal, so it does not link every coordinate
+        # the first block is diagonal: the off-diagonal entries start after it
         late = (1, 0)
         H[:rows] *= np.eye(d)
         on = np.abs(H).max(axis=0) > 0
         assert active_coordinates(on) == [nu for nu in range(d * d) if nu not in zero]
 
-        no_collapse = dynamics._liouvillian_link(np.zeros((d * d, d * d)), d)
-        sectors, found = dynamics._sectors(H, d, no_collapse)
-        assert found[late] and found[late[::-1]]  # nonzero only after the first block
+        found = dynamics._hermitian_tracks(H).on
+        assert found[late] and found[late[::-1]]
         assert np.array_equal(found, on)
+        sectors = liouvillian_sectors(H, np.zeros((d * d, d * d)))
         D = dynamics._dissipator(qubit_collapse(STRONG, d), d)
         for keep in [np.arange(d * d)] + sectors:
-            ref = previous_liouvillian(D, d, keep, H)
-            assert np.array_equal(support_liouvillian(D, d, found, keep)(H), ref)
-            assert np.array_equal(full_sum_liouvillian(D, d, keep)(H), ref)
-        first_block = np.abs(H[:rows]).max(axis=0) > 0
-        assert not np.array_equal(support_liouvillian(D, d, first_block, np.arange(d * d))(H),
-                                  previous_liouvillian(D, d, np.arange(d * d), H))
+            assert np.array_equal(liouvillian(D, d, keep)(H), previous_liouvillian(D, d, keep, H))
 
     @pytest.mark.parametrize("rates", [STRONG, DecoherenceRates()], ids=["strong", "closed"])
     def test_coupled_generator_reads_six_coordinates(self, rates, monkeypatch):
@@ -1427,15 +1530,17 @@ class TestKernelBits:
         sampler = two_qubit_full_hamiltonian(params, drive)
         built = []
 
-        def spy(D, d, active, keep):
+        def spy(G, D, active, keep):
             built.append(list(active))
-            return generator(D, d, active, keep)
+            return generator(G, D, active, keep)
 
-        generator = dynamics._liouvillian
-        monkeypatch.setattr(dynamics, "_liouvillian", spy)
+        generator = dynamics._generator
+        monkeypatch.setattr(dynamics, "_generator", spy)
         basis = np.zeros((2, 6, 6), dtype=complex)
         basis[0, IDX_11, IDX_11] = basis[1, IDX_01, IDX_11] = basis[1, 0, 0] = 1.0
         evolve_lindblad(sampler, basis, two_qubit_collapse(rates), (0.0, drive.tau), dt=0.02)
+        evolve_schrodinger(sampler, np.eye(6, dtype=complex)[[IDX_11, IDX_01]], (0.0, drive.tau),
+                           dt=0.02)
         exchange = [(IDX_10, IDX_01), (IDX_11, IDX_02), (IDX_20, IDX_11)]
         six = sorted(6 * i + j for a, b in exchange for i, j in ((a, b), (b, a)))
         assert built and all(active == six for active in built)
@@ -1445,5 +1550,7 @@ class TestKernelBits:
         H = SECTOR_MODELS[model]()
         d = H.shape[-1]
         D = dynamics._dissipator(model_collapse(H, STRONG), d)
-        sectors, on = dynamics._sectors(H, d, dynamics._liouvillian_link(D, d))
-        assert len(sectors) == 1 and on.all()
+        assert len(liouvillian_sectors(H, D)) == 1
+        # the entries the drive fills
+        filled = abs(np.subtract.outer(np.arange(d), np.arange(d))) <= 1
+        assert np.array_equal(dynamics._hermitian_tracks(H).on, filled)

@@ -11,7 +11,6 @@ from geogate.dynamics import (
     ErrorFractions,
     TransmonParams,
     TwoQubitDrive,
-    _drive_hamiltonian,
     build_two_qubit_drive,
     evolve_lindblad,
     evolve_schrodinger,
@@ -36,6 +35,7 @@ from geogate.fidelity import (
     gate_variants,
     robustness_scan,
 )
+from dense_reference import drive_hamiltonian
 from geogate.pulses import (
     CATALOG,
     DEFAULT_BUDGET,
@@ -255,7 +255,7 @@ class TestRobustnessScan:
 
         def dense_axis():
             def sampler(ts):
-                return _drive_hamiltonian(pulse, ts, values, 0.0)[..., None, :, :]
+                return drive_hamiltonian(pulse, ts, values, 0.0)[..., None, :, :]
             evolve_lindblad(sampler, _channel_basis(QUBIT_IDX, 2), qubit_collapse(RATES),
                             (0.0, pulse.tau), 0.05)
 
