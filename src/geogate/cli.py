@@ -1,8 +1,9 @@
 """Config-driven command line front end.
 
 Subcommands: synth, simulate, scan, two-qubit, optimize, accept.  Scenario
-configs are JSON; frequencies are given in MHz (rates in kHz) and converted
-to angular units internally.  Every run writes deterministic CSV artifacts
+configs are JSON objects holding only the keys ``KEYS`` declares for the
+command; frequencies are given in MHz (rates in kHz) and converted to
+angular units internally.  Every run writes deterministic CSV artifacts
 plus a manifest recording the config hash, seed and library versions.
 """
 
@@ -105,17 +106,103 @@ def write_manifest(out_dir, command, config, seed, outputs):
     return path
 
 
-def _typed(config, key, default, kind, accepts):
-    """``config[key]`` (``default`` when absent), which ``accepts`` must pass."""
-    value = config.get(key, default)
-    if not accepts(value):
-        raise ConfigError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
-    return value
-
-
 def _is_number(value) -> bool:  # finite as a float; JSON may also give NaN, Infinity, 10**400
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+# kind -> (what a value must be, the test it must pass, its conversion)
+KINDS = {
+    "number": ("a number", _is_number, float),
+    "integer": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
+    "flag": ("true or false", lambda v: isinstance(v, bool), bool),
+    "string": ("a string", lambda v: isinstance(v, str), str),
+    "strings": ("a list of strings", _is_strings, tuple),
+    "names": ("a list of strings", _is_strings, tuple),
+    "numbers": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                lambda v: tuple(map(float, v))),
+    "retired": ("anything", lambda v: True, lambda v: None),
+}
+
+# Every key each command reads: key -> (kind, default[, minimum[, strict]]), a
+# value of at least ``minimum`` (above it when ``strict``); a nested table is a
+# block. A "names" value is one or more of the names its default lists; a "retired"
+# key takes any value and has no effect; a default of None is filled in by the command.
+# README's "Config keys" tables list the same, and a test holds them equal.
+KEYS = {
+    "synth": {"gate": ("string", ""), "omega0_mhz": ("number", 30.0, 0, True),
+              "coeffs": ("numbers", ()), "grid_points": ("integer", 4001, 2),
+              "drag": ("flag", False), "anharmonicity_mhz": ("number", 220.0),
+              "out_dir": ("string", ".")},
+    "simulate": {"gate": ("string", ""), "omega0_mhz": ("number", 30.0, 0, True),
+                 "model": ("string", "three_level"), "gamma_khz": ("number", 0.0, 0),
+                 "kappa_khz": ("number", 0.0, 0), "epsilon": ("number", 0.0),
+                 "delta": ("number", 0.0), "dt_ns": ("number", 0.001, 0, True),
+                 "anharmonicity_mhz": ("number", 220.0), "grid_points": ("integer", 4001, 2),
+                 "record_stride": ("integer", 20, 1), "drag": ("flag", True),
+                 "coeffs": ("numbers", ()), "initial_state": ("numbers", None),
+                 "n_theta": ("retired", None), "out_dir": ("string", ".")},
+    "scan": {"gate": ("string", ""), "omega0_mhz": ("number", 30.0, 0, True),
+             "gamma_khz": ("number", 0.0, 0), "kappa_khz": ("number", 0.0, 0),
+             "dt_ns": ("number", 0.01, 0, True),
+             "scan": {"axis": ("string", "epsilon"), "axes": ("strings", None),
+                      "points": ("integer", 41, 1), "min": ("number", -0.1),
+                      "max": ("number", 0.1), "variants": ("names", VARIANTS),
+                      "comparator_style": ("string", "canonical")},
+             "n_theta": ("retired", None), "workers": ("retired", None),
+             "out_dir": ("string", ".")},
+    "two-qubit": {"gamma_khz": ("number", 0.0, 0), "kappa_khz": ("number", 0.0, 0),
+                  "dt_ns": ("number", 0.001, 0, True), "grid_points": ("integer", 4001, 2),
+                  "record_stride": ("integer", 200, 1),
+                  "two_qubit": {"g_mhz": ("number", 10.0, 0, True), "delta_mhz": ("number", 500.0),
+                                "anh_a_mhz": ("number", 220.0), "anh_b_mhz": ("number", 200.0),
+                                "gprime_max_mhz": ("number", 15.0, 0, True),
+                                "gamma_g_prime_over_pi": ("number", 0.25),
+                                "coeffs": ("numbers", TWO_QUBIT_COEFFS),
+                                "model": ("string", "full"), "n_theta": ("retired", None)},
+                  "out_dir": ("string", ".")},
+    "optimize": {"gate": ("string", ""), "omega0_mhz": ("number", 30.0, 0, True),
+                 "seed": ("integer", 0, 0), "grid_points": ("integer", 4001, 2),
+                 "optimize": {"bound": ("number", 0.2), "monotone": ("flag", True),
+                              "starts": ("integer", 16, 1), "evals_per_start": ("integer", 500, 1)},
+                 "out_dir": ("string", ".")},
+}
+
+
+def read_config(config: dict, keys: dict, block: str = "") -> dict:
+    """Every key of ``keys``, a table of KEYS, with the value ``config`` gives it,
+    checked, or else its default; ``block`` names the block ``config`` is."""
+    for key in config:
+        if key not in keys:
+            raise ConfigError(f"unknown config key {block + key!r}, "
+                              f"expected one of {', '.join(keys)}")
+    values = {}
+    for key, entry in keys.items():
+        if isinstance(entry, dict):
+            value = config.get(key, {})
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {key!r} must be an object, got {json.dumps(value)}")
+            values[key] = read_config(value, entry, f"{block}{key}.")
+            continue
+        kind, default, *bound = entry
+        if key not in config:
+            values[key] = default
+            continue
+        value = config[key]
+        phrase, accepts, convert = KINDS[kind]
+        if not accepts(value):
+            raise ConfigError(f"config key {key!r} must be {phrase}, got {json.dumps(value)}")
+        if bound:
+            _in_range(f"config key {key!r}", value, *bound)
+        if kind == "names" and not (value and set(value) <= set(default)):
+            raise ConfigError(f"config key {key!r} must name one or more of "
+                              f"{', '.join(default)}, got {json.dumps(value)}")
+        values[key] = convert(value)
+    return values
 
 
 def _in_range(name, value, minimum, strict=False):
@@ -134,143 +221,79 @@ def _positive_flag(name, value) -> float:
     return _in_range(f"flag {name}", value, 0, strict=True)
 
 
-def _number(config, key, default, minimum=None, strict=False) -> float:
-    value = _typed(config, key, default, "a number", _is_number)
-    if minimum is not None:
-        _in_range(f"config key {key!r}", value, minimum, strict)
-    return float(value)
+def _coeffs_flag(text) -> tuple:
+    """The comma-separated numbers of flag --coeffs, each of which must be finite."""
+    for item in text.split(","):
+        try:
+            finite = math.isfinite(float(item))
+        except ValueError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"flag --coeffs must be a finite number, got {item}")
+    return tuple(map(float, text.split(",")))
 
 
-def _integer(config, key, default, minimum=None) -> int:
-    value = _typed(config, key, default, "an integer",
-                   lambda v: isinstance(v, int) and not isinstance(v, bool))
-    if minimum is not None:
-        _in_range(f"config key {key!r}", value, minimum)
-    return value
-
-
-def _flag(config, key, default) -> bool:
-    return _typed(config, key, default, "true or false", lambda v: isinstance(v, bool))
-
-
-def _string(config, key, default) -> str:
-    return _typed(config, key, default, "a string", lambda v: isinstance(v, str))
-
-
-def _strings(config, key, default) -> list:
-    return _typed(config, key, default, "a list of strings",
-                  lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
-
-
-def _numbers(config, key, default) -> tuple:
-    return tuple(float(x) for x in _typed(
-        config, key, default, "a list of numbers",
-        lambda v: isinstance(v, list) and all(map(_is_number, v))))
-
-
-def _names(config, key, known) -> tuple:
-    """One or more of the names ``known`` (all of them when the key is absent)."""
-    names = _strings(config, key, list(known))
-    if not names or not set(names) <= set(known):
-        raise ConfigError(f"config key {key!r} must name one or more of {', '.join(known)}, "
-                          f"got {json.dumps(names)}")
-    return tuple(names)
-
-
-def _block(config, key) -> dict:
-    return _typed(config, key, {}, "an object", lambda v: isinstance(v, dict))
-
-
-def _budget(config, args) -> AmplitudeBudget:
-    omega0 = _number(config, "omega0_mhz", 30.0, minimum=0, strict=True) * MHZ
-    if getattr(args, "omega0", None) is not None:  # flag value already in rad/ns
-        omega0 = _positive_flag("--omega0", args.omega0)
-    return AmplitudeBudget(omega0)
-
-
-def _rates(config) -> DecoherenceRates:
-    return DecoherenceRates(gamma_decay=_number(config, "gamma_khz", 0.0, minimum=0) * KHZ,
-                            kappa_dephase=_number(config, "kappa_khz", 0.0, minimum=0) * KHZ)
-
-
-def _coeffs(config, args):
-    coeffs = _numbers(config, "coeffs", [])
-    if getattr(args, "coeffs", None):
-        return tuple(float(c) for c in args.coeffs.split(","))
-    return coeffs
-
-
-def _gate_name(config, args) -> str:
-    name = _string(config, "gate", "")
-    name = getattr(args, "gate", None) or name
-    if not name:
-        raise ConfigError("no gate selected (flag --gate or config key 'gate')")
-    return name
-
-
-def _dt(config, args, default=0.001) -> float:
-    dt = _number(config, "dt_ns", default, minimum=0, strict=True)
-    if getattr(args, "dt", None) is not None:
-        return _positive_flag("--dt", args.dt)
-    return dt
-
-
-def _out_dir(config, args) -> str:
-    out_dir = _string(config, "out_dir", ".")
-    return getattr(args, "out", None) or out_dir
+def _settings(args, command):
+    """The config ``args.config`` and the values ``command`` reads from it, with the
+    flags applied; ``budget`` and ``rates``, in rad/ns, join where their keys are."""
+    config = load_config(args.config)
+    v = read_config(config, KEYS[command])
+    if "gate" in v:
+        v["gate"] = args.gate or v["gate"]
+        if not v["gate"]:
+            raise ConfigError("no gate selected (flag --gate or config key 'gate')")
+    if "omega0_mhz" in v:  # the flag's value is already in rad/ns
+        v["budget"] = AmplitudeBudget(v["omega0_mhz"] * MHZ if args.omega0 is None
+                                      else _positive_flag("--omega0", args.omega0))
+    if "gamma_khz" in v:
+        v["rates"] = DecoherenceRates(gamma_decay=v["gamma_khz"] * KHZ,
+                                      kappa_dephase=v["kappa_khz"] * KHZ)
+    if "dt_ns" in v and args.dt is not None:
+        v["dt_ns"] = _positive_flag("--dt", args.dt)
+    if "coeffs" in v and args.coeffs:
+        v["coeffs"] = _coeffs_flag(args.coeffs)
+    if getattr(args, "model", None):
+        (v["two_qubit"] if command == "two-qubit" else v)["model"] = args.model
+    v["seed"] = v.get("seed") if args.seed is None else _in_range("flag --seed", args.seed, 0)
+    v["out_dir"] = args.out or v["out_dir"]
+    return config, v
 
 
 def cmd_synth(args) -> int:
-    config = load_config(args.config)
-    gate = _gate_name(config, args)
+    config, v = _settings(args, "synth")
+    gate, out_dir = v["gate"], v["out_dir"]
     spec = CATALOG[gate]
-    budget = _budget(config, args)
-    coeffs = _coeffs(config, args)
-    grid = _integer(config, "grid_points", 4001, minimum=2)
-    drag = _flag(config, "drag", False) or args.drag
-    out_dir = _out_dir(config, args)
-    pulse = synthesize(spec, default_schedule(spec, coeffs), budget, grid)
-    if drag:
-        anh = _number(config, "anharmonicity_mhz", 220.0) * MHZ
-        pulse = drag_correct(pulse, anh)
+    pulse = synthesize(spec, default_schedule(spec, v["coeffs"]), v["budget"], v["grid_points"])
+    if v["drag"] or args.drag:
+        pulse = drag_correct(pulse, v["anharmonicity_mhz"] * MHZ)
     out = os.path.join(out_dir, f"pulse_{gate}.csv")
     pulse.to_csv(out)
-    write_manifest(out_dir, "synth", config, args.seed, [out])
+    write_manifest(out_dir, "synth", config, v["seed"], [out])
     print(f"tau_ns={pulse.tau:.6f}")
     print(f"wrote {out}")
     return 0
 
 
 def cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    gate = _gate_name(config, args)
+    config, v = _settings(args, "simulate")
+    gate, model, out_dir = v["gate"], v["model"], v["out_dir"]
     spec = CATALOG[gate]
-    budget = _budget(config, args)
-    model = _string(config, "model", "three_level")
-    model = args.model or model
-    rates = _rates(config)
-    err = ErrorFractions(epsilon=_number(config, "epsilon", 0.0),
-                         delta=_number(config, "delta", 0.0))
-    dt = _dt(config, args)
-    anh = _number(config, "anharmonicity_mhz", 220.0) * MHZ
-    grid = _integer(config, "grid_points", 4001, minimum=2)
-    stride = _integer(config, "record_stride", 20, minimum=1)
-    drag = _flag(config, "drag", True)
-    coeffs = _coeffs(config, args)
-    defaults = {"pi8": [1.0, 1.0], "phase": [1.0, 1.0], "hadamard": [1.0, 0.0]}
-    ket0 = _numbers(config, "initial_state", defaults.get(gate, [1.0, 0.0]))
-    out_dir = _out_dir(config, args)
-    pulse = synthesize(spec, default_schedule(spec, coeffs), budget, grid)
-    if model == "three_level" and drag:
+    anh = v["anharmonicity_mhz"] * MHZ
+    ket0 = v["initial_state"]
+    if ket0 is None:
+        ket0 = {"pi8": (1.0, 1.0), "phase": (1.0, 1.0)}.get(gate, (1.0, 0.0))
+    pulse = synthesize(spec, default_schedule(spec, v["coeffs"]), v["budget"], v["grid_points"])
+    if model == "three_level" and v["drag"]:
         pulse = drag_correct(pulse, anh)
-        if coeffs:
+        if v["coeffs"]:
             print("note: reshaped schedules pair poorly with the leakage correction")
-    trace = fidelity_dynamics(pulse, ket0, model=model, anharmonicity=anh,
-                              rates=rates, err=err, dt=dt, record_stride=stride)
+    trace = fidelity_dynamics(pulse, ket0, model=model, anharmonicity=anh, rates=v["rates"],
+                              err=ErrorFractions(epsilon=v["epsilon"], delta=v["delta"]),
+                              dt=v["dt_ns"], record_stride=v["record_stride"])
     fid = trace.gate_fidelity(target_unitary(spec))
     out = os.path.join(out_dir, f"trace_{gate}_{model}.csv")
     trace.to_csv(out)
-    write_manifest(out_dir, "simulate", config, args.seed, [out])
+    write_manifest(out_dir, "simulate", config, v["seed"], [out])
     print(f"fidelity={fid:.6f}")
     print(f"tau_ns={pulse.tau:.6f}")
     print(f"wrote {out}")
@@ -278,21 +301,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    config = load_config(args.config)
-    gate = _gate_name(config, args)
-    scan_cfg = _block(config, "scan")
-    axes = _strings(scan_cfg, "axes", [_string(scan_cfg, "axis", "epsilon")])
-    n_points = _integer(scan_cfg, "points", 41, minimum=1)
-    lo, hi = _number(scan_cfg, "min", -0.1), _number(scan_cfg, "max", 0.1)
-    include = _names(scan_cfg, "variants", VARIANTS)
-    style = _string(scan_cfg, "comparator_style", "canonical")
-    rates = _rates(config)
-    dt = _dt(config, args, default=0.01)
-    out_dir = _out_dir(config, args)
-    variants = gate_variants(gate, _budget(config, args), include, style)
-    values = np.linspace(lo, hi, n_points)
+    config, v = _settings(args, "scan")
+    gate, scan, out_dir = v["gate"], v["scan"], v["out_dir"]
+    axes = (scan["axis"],) if scan["axes"] is None else scan["axes"]
+    variants = gate_variants(gate, v["budget"], scan["variants"], scan["comparator_style"])
+    values = np.linspace(scan["min"], scan["max"], scan["points"])
     # every axis is scanned before any file is written, so a bad axis leaves no output
-    scans = robustness_scan(variants, axes, values, rates=rates, dt=dt)
+    scans = robustness_scan(variants, axes, values, rates=v["rates"], dt=v["dt_ns"])
     outputs = []
     i0 = int(np.argmin(np.abs(values)))  # the grid point nearest zero error
     for axis, scan in zip(axes, scans):
@@ -302,55 +317,47 @@ def cmd_scan(args) -> int:
         for name, fids in sorted(scan.fidelities.items()):
             print(f"{axis} {name}: F(min)={fids.min():.6f} "
                   f"F({values[i0]:.6g})={fids[i0]:.6f}")
-    write_manifest(out_dir, "scan", config, args.seed, outputs)
+    write_manifest(out_dir, "scan", config, v["seed"], outputs)
     for out in outputs:
         print(f"wrote {out}")
     return 0
 
 
 def cmd_two_qubit(args) -> int:
-    config = load_config(args.config)
-    tq = _block(config, "two_qubit")
-    params = TransmonParams(g=_number(tq, "g_mhz", 10.0) * MHZ,
-                            Delta=_number(tq, "delta_mhz", 500.0) * MHZ,
-                            anh_a=_number(tq, "anh_a_mhz", 220.0) * MHZ,
-                            anh_b=_number(tq, "anh_b_mhz", 200.0) * MHZ)
-    budget = AmplitudeBudget(_number(tq, "gprime_max_mhz", 15.0) * MHZ)
-    gamma_prime = _number(tq, "gamma_g_prime_over_pi", 0.25) * math.pi
-    coeffs = _numbers(tq, "coeffs", list(TWO_QUBIT_COEFFS))
-    model = _string(tq, "model", "full")
-    model = args.model or model
-    rates = _rates(config)
+    config, v = _settings(args, "two-qubit")
+    tq, rates, out_dir = v["two_qubit"], v["rates"], v["out_dir"]
+    params = TransmonParams(g=tq["g_mhz"] * MHZ, Delta=tq["delta_mhz"] * MHZ,
+                            anh_a=tq["anh_a_mhz"] * MHZ, anh_b=tq["anh_b_mhz"] * MHZ)
+    gamma_prime = tq["gamma_g_prime_over_pi"] * math.pi
+    model = tq["model"]
     check_two_qubit_model(model, rates)
-    dt = _dt(config, args)
-    grid = _integer(config, "grid_points", 4001, minimum=2)
-    stride = _integer(config, "record_stride", 200, minimum=1)
-    out_dir = _out_dir(config, args)
     if gamma_prime == 0.0:
         # a zero phase is the identity gate: no drive, nothing to evolve
-        write_manifest(out_dir, "two-qubit", config, args.seed, [])
+        write_manifest(out_dir, "two-qubit", config, v["seed"], [])
         print("fidelity=1.000000")
         print("tau_ns=0.000000")
         return 0
     from .paths import PathKind, PathSpec
     spec = PathSpec(gamma_g=gamma_prime, alpha0=0.0, beta0=math.pi / 2,
                     kind=PathKind.POLE_START)
-    pulse = synthesize(spec, default_schedule(spec, coeffs), budget, grid)
+    pulse = synthesize(spec, default_schedule(spec, tq["coeffs"]),
+                       AmplitudeBudget(tq["gprime_max_mhz"] * MHZ), v["grid_points"])
     drive = build_two_qubit_drive(params, pulse, gamma_prime)
-    fid = average_gate_fidelity_2q(params, drive, rates=rates, model=model, dt=dt)
+    fid = average_gate_fidelity_2q(params, drive, rates=rates, model=model, dt=v["dt_ns"])
     outputs = []
     if model == "full":
         sampler = two_qubit_full_hamiltonian(params, drive)
         psi0 = np.zeros(len(LEVELS), dtype=complex)
         psi0[IDX_11] = 1.0
-        res = evolve_schrodinger(sampler, psi0, (0.0, drive.tau), dt, record_stride=stride)
+        res = evolve_schrodinger(sampler, psi0, (0.0, drive.tau), v["dt_ns"],
+                                 record_stride=v["record_stride"])
         pops = np.abs(res.states) ** 2
         out = os.path.join(out_dir, "trace_two_qubit_full.csv")
         write_csv(out, ["t_ns", "pop_11", "pop_02", "pop_20", "pop_other"],
                   [res.times, pops[:, IDX_11], pops[:, IDX_02], pops[:, IDX_20],
                    1.0 - pops[:, IDX_11] - pops[:, IDX_02] - pops[:, IDX_20]])
         outputs.append(out)
-    write_manifest(out_dir, "two-qubit", config, args.seed, outputs)
+    write_manifest(out_dir, "two-qubit", config, v["seed"], outputs)
     print(f"fidelity={fid:.6f}")
     print(f"tau_ns={drive.tau:.6f}")
     for out in outputs:
@@ -359,27 +366,17 @@ def cmd_two_qubit(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    config = load_config(args.config)
-    gate = _gate_name(config, args)
-    budget = _budget(config, args)
-    seed = _integer(config, "seed", 0)
-    if args.seed is not None:
-        seed = args.seed
-    grid = _integer(config, "grid_points", 4001, minimum=2)
-    opt_cfg = _block(config, "optimize")
-    problem = OptimizationProblem(CATALOG[gate], budget,
-                                  bound=_number(opt_cfg, "bound", 0.2),
-                                  monotone=_flag(opt_cfg, "monotone", True),
-                                  grid_points=grid)
-    n_starts = _integer(opt_cfg, "starts", 16, minimum=1)
-    max_evals = _integer(opt_cfg, "evals_per_start", 500, minimum=1)
-    out_dir = _out_dir(config, args)
-    result = optimize(problem, seed=seed, n_starts=n_starts, max_evals_per_start=max_evals)
+    config, v = _settings(args, "optimize")
+    gate, opt, out_dir = v["gate"], v["optimize"], v["out_dir"]
+    problem = OptimizationProblem(CATALOG[gate], v["budget"], bound=opt["bound"],
+                                  monotone=opt["monotone"], grid_points=v["grid_points"])
+    result = optimize(problem, seed=v["seed"], n_starts=opt["starts"],
+                      max_evals_per_start=opt["evals_per_start"])
     out = os.path.join(out_dir, f"optimize_{gate}.csv")
     result.to_csv(out, gate_name=gate)
     hist = os.path.join(out_dir, f"optimize_{gate}_history.csv")
     result.history_to_csv(hist)
-    write_manifest(out_dir, "optimize", config, seed, [out, hist])
+    write_manifest(out_dir, "optimize", config, v["seed"], [out, hist])
     print(f"coeffs={','.join(f'{c:.6f}' for c in result.coeffs)}")
     print(f"tau_ns={result.tau:.6f} (baseline {result.baseline_tau:.6f})")
     print(f"wrote {out}")
@@ -440,15 +437,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _bound_number_flags(argv) -> list:
-    """``--dt -inf`` as ``--dt=-inf``, and so for ``--omega0``: argparse takes a lone
-    argument that starts with '-' and is no plain negative number (-inf, -nan,
-    -1e-3) for an option, and the flag's own check would never see it."""
+    """``--dt -inf`` as ``--dt=-inf``, and so for ``--omega0`` and ``--coeffs``:
+    argparse takes a lone argument that starts with '-' and is no plain negative
+    number (-inf, -nan, -1e-3, -0.05,0.08) for an option, and the flag's own
+    check would never see it."""
     argv, out = list(sys.argv[1:] if argv is None else argv), []
     while argv:
         arg = argv.pop(0)
-        if arg in ("--dt", "--omega0") and argv and argv[0].startswith("-"):
+        if arg in ("--dt", "--omega0", "--coeffs") and argv and argv[0].startswith("-"):
             try:
-                float(argv[0])
+                float(argv[0].split(",")[0])
             except ValueError:
                 pass
             else:

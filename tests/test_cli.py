@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import geogate
-from geogate.cli import config_hash, load_config, main
+from geogate.cli import KEYS, config_hash, load_config, main, read_config
 from geogate.dynamics import evolve_lindblad
 
 # the directory holding the imported package, so that subprocesses started
@@ -67,6 +67,14 @@ class TestSynth:
         assert r.returncode == 0
         tau = float(r.stdout.splitlines()[0].split("=")[1])
         assert abs(tau - 20.0) < 0.1
+
+    def test_negative_first_coefficient(self, tmp_path):
+        # "-0.05,0.08" as its own argument, which argparse would read as an option
+        for sub, coeffs in (("lone", ["--coeffs", "-0.05,0.08"]),
+                            ("bound", ["--coeffs=-0.05,0.08"])):
+            assert main(["synth", "--gate", "pi8", *coeffs, "--out", str(tmp_path / sub)]) == 0
+        assert ((tmp_path / "lone" / "pulse_pi8.csv").read_bytes()
+                == (tmp_path / "bound" / "pulse_pi8.csv").read_bytes())
 
     def test_budget_flag_halves_duration(self, tmp_path):
         r1 = run_cli(["synth", "--gate", "phase", "--out", str(tmp_path / "a")], tmp_path)
@@ -374,6 +382,10 @@ OUT_OF_RANGE = [
     ("two-qubit", {"gamma_khz": 3.0, "kappa_khz": -3.0}, "kappa_khz", "at least 0, got -3.0"),
     ("synth", {"gate": "pi8", "omega0_mhz": -30}, "omega0_mhz", "greater than 0, got -30"),
     ("optimize", {"gate": "pi8", "omega0_mhz": 0.0}, "omega0_mhz", "greater than 0, got 0.0"),
+    ("two-qubit", {"two_qubit": {"g_mhz": 0}}, "g_mhz", "greater than 0, got 0"),
+    ("two-qubit", {"two_qubit": {"gprime_max_mhz": -15.0}}, "gprime_max_mhz",
+     "greater than 0, got -15.0"),
+    ("optimize", {"gate": "pi8", "seed": -1}, "seed", "at least 0, got -1"),
 ]
 
 # Python's JSON reader accepts NaN, Infinity, -Infinity and integers of any size
@@ -388,6 +400,16 @@ NON_FINITE = [
      "a list of numbers", "[1.0, -Infinity]"),
     ("optimize", {"gate": "pi8", "omega0_mhz": 10 ** 400}, "omega0_mhz", "a number",
      str(10 ** 400)),  # an integer beyond every float
+]
+
+
+# a misspelt key at the top level and in each block; "omega0" is the flag's name
+UNKNOWN = [
+    ("synth", {"gate": "pi8", "grid_pionts": 201}, "grid_pionts"),
+    ("synth", {"gate": "pi8", "omega0": 60.0}, "omega0"),
+    ("scan", {"gate": "pi8", "scan": {"pionts": 3}}, "scan.pionts"),
+    ("optimize", {"gate": "pi8", "optimize": {"start": 2}}, "optimize.start"),
+    ("two-qubit", {"two_qubit": {"g_mz": 10.0}}, "two_qubit.g_mz"),
 ]
 
 
@@ -532,7 +554,8 @@ class TestErrors:
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("command, flag", [("simulate", "--dt"), ("scan", "--dt"),
                                                ("two-qubit", "--dt"), ("synth", "--omega0"),
-                                               ("scan", "--omega0"), ("optimize", "--omega0")])
+                                               ("scan", "--omega0"), ("optimize", "--omega0"),
+                                               ("synth", "--coeffs"), ("simulate", "--coeffs")])
     def test_non_finite_flag_names_the_flag(self, tmp_path, capsys, no_work, command, flag,
                                             value):
         out = tmp_path / "out"
@@ -558,6 +581,35 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error: ")
         payload = json.loads(err[0][len("error: "):])
         assert payload == {"type": "ConfigError", "message": f"flag {flag} {message}"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--coeffs", "nan,0,0"], "flag --coeffs must be a finite number, got nan"),
+        (["simulate", "--coeffs", "0.1,x"], "flag --coeffs must be a finite number, got x"),
+        (["synth", "--coeffs", "-0.05,inf"], "flag --coeffs must be a finite number, got inf"),
+        (["optimize", "--seed", "-1"], "flag --seed must be at least 0, got -1"),
+    ])
+    def test_bad_coeffs_or_seed_flag_names_the_flag(self, tmp_path, capsys, no_work, argv,
+                                                    message):
+        out = tmp_path / "out"
+        assert main(argv + ["--gate", "pi8", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert json.loads(err[0][len("error: "):]) == {"type": "ConfigError",
+                                                       "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, payload, key", UNKNOWN,
+                             ids=[f"{c[0]}-{c[2]}" for c in UNKNOWN])
+    def test_unknown_key_names_the_key(self, tmp_path, capsys, no_work, command, payload, key):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "unknown.json", {**payload, "out_dir": str(out)})
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        payload = json.loads(err[0][len("error: "):])
+        assert payload["type"] == "ConfigError"
+        assert payload["message"].startswith(f"unknown config key {key!r}, expected one of ")
         assert not out.exists()
 
     @pytest.mark.parametrize("variants", [["geometrc"], ["geometric", "dynamic"], []])
@@ -638,3 +690,65 @@ class TestConfigHelpers:
 
     def test_main_returns_int(self, tmp_path):
         assert main(["synth", "--gate", "pi8", "--out", str(tmp_path)]) == 0
+
+
+README = os.path.join(os.path.dirname(SRC_DIR), "README.md")
+CONFIG_COMMANDS = {"hadamard_pulse_optimized.json": "synth", "pi8_pulse.json": "synth",
+                   "leakage_simulation.json": "simulate", "robustness_scan.json": "scan",
+                   "two_qubit_cphase.json": "two-qubit", "optimize_durations.json": "optimize"}
+
+
+def flat_keys(keys, block=""):
+    """A table of KEYS as {dotted key: (kind, default as JSON reads it, *range)}."""
+    flat = {}
+    for key, entry in keys.items():
+        if isinstance(entry, dict):
+            flat.update(flat_keys(entry, f"{block}{key}."))
+        else:
+            kind, default, *bound = entry
+            flat[block + key] = (kind, json.loads(json.dumps(default)), *bound)
+    return flat
+
+
+def readme_keys():
+    """README's "Config keys" tables in the form of ``flat_keys``."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n### Config keys\n")[1].split("\n## ")[0]
+    tables = {}
+    for part in section.split("\n#### ")[1:]:
+        heading, *lines = part.splitlines()
+        rows = tables[heading.strip("`")] = {}
+        for line in lines:
+            if not line.startswith("| `"):
+                continue
+            key, kind, default, bound = (c.strip().strip("`") for c in line.strip("|").split("|"))
+            op, _, minimum = bound.partition(" ")  # "", "≥ m" or "> m"
+            rows[key] = (kind, json.loads(default)) + (
+                () if not op else (json.loads(minimum),) + ((True,) if op == ">" else ()))
+    return tables
+
+
+class TestKeyTable:
+    def test_readme_tables_match_the_code(self):
+        assert readme_keys() == {command: flat_keys(keys) for command, keys in KEYS.items()}
+
+    def test_retired_keys_are_accepted_and_do_nothing(self):
+        for command, config in [("simulate", {"n_theta": 5}),
+                                ("scan", {"n_theta": "any", "workers": 2}),
+                                ("two-qubit", {"two_qubit": {"n_theta": 5}})]:
+            assert read_config(config, KEYS[command]) == read_config({}, KEYS[command])
+
+    def test_shipped_configs_pass_the_reader(self):
+        assert sorted(os.listdir(CONFIGS)) == sorted(CONFIG_COMMANDS)
+        for name, command in CONFIG_COMMANDS.items():
+            config = load_config(os.path.join(CONFIGS, name))
+            assert read_config(config, KEYS[command])["out_dir"] == config["out_dir"]
+
+    def test_benchmark_configs_pass_the_reader(self, monkeypatch):
+        # the configs the benchmark's operations send; geobench/ is read, not changed
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(SRC_DIR), "geobench"))
+        import workloads
+        for workload in workloads.WORKLOADS:
+            for seed in (0, 1):
+                for op in workloads.build(workload, seed):
+                    read_config(op.config, KEYS[op.command])
