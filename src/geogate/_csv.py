@@ -17,8 +17,8 @@ def write_csv(path, headers, columns):
     if any(len(c) != n for c in columns):
         raise ValueError("column length mismatch")
     fmt = ",".join("%s" if c.dtype.kind == "U" else "%.12g" for c in columns) + "\n"
-    cols = [c.tolist() for c in columns]
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(headers) + "\n")
-        fh.writelines(fmt % row for row in zip(*cols))
+        for i in range(0, n, 512):  # one write, and Python floats, per block of rows
+            fh.write("".join([fmt % row for row in zip(*(c[i:i + 512].tolist() for c in columns))]))

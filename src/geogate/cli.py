@@ -167,7 +167,7 @@ KEYS = {
                   "out_dir": ("string", ".")},
     "optimize": {"gate": ("string", ""), "omega0_mhz": ("number", 30.0, 0, True),
                  "seed": ("integer", 0, 0), "grid_points": ("integer", 4001, 2),
-                 "optimize": {"bound": ("number", 0.2), "monotone": ("flag", True),
+                 "optimize": {"bound": ("number", 0.2, 0, True), "monotone": ("flag", True),
                               "starts": ("integer", 16, 1), "evals_per_start": ("integer", 500, 1)},
                  "out_dir": ("string", ".")},
 }
@@ -254,6 +254,9 @@ def _settings(args, command):
         v["coeffs"] = _coeffs_flag(args.coeffs)
     if getattr(args, "model", None):
         (v["two_qubit"] if command == "two-qubit" else v)["model"] = args.model
+    drag = v.get("drag") or getattr(args, "drag", False)  # the key, or synth's flag --drag
+    if drag and v.get("model", "three_level") == "three_level" and not v["anharmonicity_mhz"]:
+        raise ConfigError("config key 'anharmonicity_mhz' must be nonzero when drag is on")
     v["seed"] = v.get("seed") if args.seed is None else _in_range("flag --seed", args.seed, 0)
     v["out_dir"] = args.out or v["out_dir"]
     return config, v

@@ -5,7 +5,7 @@ The objective is the normalized gate duration: sample the loop for a trial
 coefficient vector, take the peak of the dimensionless envelope, divide by
 the amplitude budget.  Trials outside the coefficient box score +inf, and
 so, with ``monotone`` set, do trials whose azimuth turns back (beta_dot < 0
-somewhere, tested before the polar angle is computed).  The loop phase is
+somewhere: at s = 0 before the grid is built, then on it).  The loop phase is
 not checked: it is (1/2) * integral of (1 - cos alpha) d(beta) over a fixed
 azimuth window, so no schedule can change it.
 
@@ -26,7 +26,7 @@ from .paths import (
     DEFAULT_GRID_POINTS,
     BetaSchedule,
     PathSpec,
-    _trajectory,
+    _polar,
     beta_schedule,
 )
 
@@ -106,16 +106,18 @@ class OptimizationResult:
 def objective(coeffs, spec: PathSpec, budget, bound: float = 0.2,
               monotone: bool = True, grid_points: int = DEFAULT_GRID_POINTS) -> float:
     """Normalized duration for a trial coefficient vector; +inf on rejection."""
-    from .pulses import default_schedule, normalize_duration
+    from .pulses import _envelope_squared, default_schedule
 
     coeffs = tuple(float(a) for a in np.atleast_1d(coeffs))
-    if any(abs(a) > bound for a in coeffs):
+    rate = 0.0  # d(beta)/ds at s = 0, summed as beta_schedule sums it there
+    for k, a_k in enumerate(coeffs, start=1):
+        rate += 2 * k * math.pi * a_k
+    if any(abs(a) > bound for a in coeffs) or monotone and rate < 0.0:
         return math.inf
-    schedule = default_schedule(spec, coeffs)
-    s, beta, dbeta = beta_schedule(schedule, grid_points)
+    _, beta, dbeta = beta_schedule(default_schedule(spec, coeffs), grid_points)
     if monotone and dbeta.min() < 0.0:
         return math.inf
-    return normalize_duration(_trajectory(spec, schedule, s, beta, dbeta), budget)
+    return math.sqrt(_envelope_squared(*_polar(spec, beta, dbeta), dbeta).max()) / budget.omega0
 
 
 class _Exhausted(Exception):

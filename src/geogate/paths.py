@@ -197,28 +197,31 @@ def sample_trajectory(spec: PathSpec, schedule: BetaSchedule,
     return _trajectory(spec, schedule, *beta_schedule(schedule, grid_points))
 
 
-def _trajectory(spec: PathSpec, schedule: BetaSchedule, s, beta, dbeta) -> PathTrajectory:
-    """The loop on samples (s, beta, dbeta) that ``beta_schedule(schedule, ...)`` returned.
-
-    Pole start: alpha = 2 arctan|u|, u = C sin(beta - pi/2), and d(alpha)/ds flips
-    sign where u < 0 (not at u = 0).  Hadamard: implicit differentiation gives
-    d(alpha)/d(beta) = 2 sin(pi/12) sin(beta) sin(alpha) / q.
-    """
-    if spec.kind is PathKind.POLE_START and schedule.base is not ScheduleBase.HALF_TURN:
-        raise ValueError("pole-start loops pair with the half-turn schedule")
-    if spec.kind is PathKind.HADAMARD_START and schedule.base is not ScheduleBase.FULL_TURN:
-        raise ValueError("Hadamard-start loops pair with the full-turn schedule")
+def _polar(spec: PathSpec, beta, dbeta):
+    """sin(alpha), cos(alpha) and d(alpha)/ds at samples (beta, dbeta).  Pole start: alpha =
+    2 arctan u, u = C sin(beta - pi/2), left signed.  Hadamard, by implicit differentiation:
+    d(alpha)/d(beta) = 2 sin(pi/12) sin(beta) sin(alpha) / q."""
     if spec.kind is PathKind.POLE_START:
         C = circle_constant(spec.gamma_g)
         sin_phi, cos_phi = _half_angle(beta - math.pi / 2)
         u = C * sin_phi
         w = 1.0 + u * u
-        sin_alpha, cos_alpha = 2.0 * np.abs(u) / w, (1.0 - u * u) / w
-        dalpha = np.where(u < 0.0, -1.0, 1.0) * (2.0 * C * cos_phi / w * dbeta)
-    else:
-        sin_beta, cos_beta = _half_angle(beta)
-        sin_alpha, cos_alpha, q = _hadamard_root(cos_beta)
-        dalpha = 2 * SIN_PI_12 * sin_beta * sin_alpha / q * dbeta
+        return 2.0 * u / w, (1.0 - u * u) / w, 2.0 * C * cos_phi / w * dbeta
+    sin_beta, cos_beta = _half_angle(beta)
+    sin_alpha, cos_alpha, q = _hadamard_root(cos_beta)
+    return sin_alpha, cos_alpha, 2 * SIN_PI_12 * sin_beta * sin_alpha / q * dbeta
+
+
+def _trajectory(spec: PathSpec, schedule: BetaSchedule, s, beta, dbeta) -> PathTrajectory:
+    """The loop on samples (s, beta, dbeta) that ``beta_schedule(schedule, ...)`` returned;
+    a pole-start loop folds to alpha = 2 arctan|u|, so d(alpha)/ds flips where u < 0."""
+    if spec.kind is PathKind.POLE_START and schedule.base is not ScheduleBase.HALF_TURN:
+        raise ValueError("pole-start loops pair with the half-turn schedule")
+    if spec.kind is PathKind.HADAMARD_START and schedule.base is not ScheduleBase.FULL_TURN:
+        raise ValueError("Hadamard-start loops pair with the full-turn schedule")
+    sin_alpha, cos_alpha, dalpha = _polar(spec, beta, dbeta)
+    if spec.kind is PathKind.POLE_START:  # the sign of u is the sign of 2u/(1 + u^2)
+        sin_alpha, dalpha = np.abs(sin_alpha), np.where(sin_alpha < 0.0, -1.0, 1.0) * dalpha
 
     return PathTrajectory(spec=spec, schedule=schedule, s=s, sin_alpha=sin_alpha,
                           cos_alpha=cos_alpha, beta=beta, dalpha_ds=dalpha, dbeta_ds=dbeta)

@@ -125,15 +125,20 @@ class DrivePulse:
                   [self.t, self.delta, self.omega, self.phase, drag.real, drag.imag])
 
 
+def _envelope_squared(sin_alpha, cos_alpha, dalpha_ds, dbeta_ds) -> np.ndarray:
+    """Xi(s)^2; sqrt is correctly rounded and monotone, so sqrt(max Xi^2) = max Xi."""
+    return dalpha_ds**2 + (dbeta_ds * sin_alpha * cos_alpha) ** 2
+
+
 def dimensionless_envelope(traj: PathTrajectory) -> np.ndarray:
     """Xi(s): the drive envelope before the duration is fixed."""
-    return np.sqrt(traj.dalpha_ds**2
-                   + (traj.dbeta_ds * traj.sin_alpha * traj.cos_alpha) ** 2)
+    return np.sqrt(_envelope_squared(traj.sin_alpha, traj.cos_alpha, traj.dalpha_ds, traj.dbeta_ds))
 
 
 def normalize_duration(traj: PathTrajectory, budget: AmplitudeBudget = DEFAULT_BUDGET) -> float:
     """Duration (ns) at which the envelope peaks exactly at the budget."""
-    return float(dimensionless_envelope(traj).max() / budget.omega0)
+    xi2 = _envelope_squared(traj.sin_alpha, traj.cos_alpha, traj.dalpha_ds, traj.dbeta_ds)
+    return math.sqrt(xi2.max()) / budget.omega0
 
 
 def rabi_envelope(traj: PathTrajectory, tau: float):

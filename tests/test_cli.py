@@ -125,6 +125,15 @@ class TestSimulate:
         assert 0.994 < fid < 1.0
 
 
+    @pytest.mark.parametrize("model, drag", [("three_level", False), ("two_level", True)])
+    def test_zero_anharmonicity_without_the_correction_runs(self, tmp_path, model, drag):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "anh.json", {
+            "gate": "pi8", "model": model, "drag": drag, "anharmonicity_mhz": 0,
+            "dt_ns": 0.05, "out_dir": str(out)})
+        assert main(["simulate", "--config", cfg]) == 0
+        assert (out / f"trace_pi8_{model}.csv").exists()
+
     def test_one_lindblad_integration(self, tmp_path, monkeypatch):
         # the printed F and the trace come from one evolution of |a><b|
         import geogate.fidelity as fid_mod
@@ -386,6 +395,17 @@ OUT_OF_RANGE = [
     ("two-qubit", {"two_qubit": {"gprime_max_mhz": -15.0}}, "gprime_max_mhz",
      "greater than 0, got -15.0"),
     ("optimize", {"gate": "pi8", "seed": -1}, "seed", "at least 0, got -1"),
+    ("optimize", {"gate": "pi8", "optimize": {"bound": 0}}, "bound", "greater than 0, got 0"),
+    ("optimize", {"gate": "pi8", "optimize": {"bound": -0.1}}, "bound",
+     "greater than 0, got -0.1"),
+]
+
+# the leakage correction divides by the anharmonicity; simulate applies it by default
+ZERO_ANHARMONICITY_WITH_DRAG = [
+    ("synth", {"gate": "pi8", "drag": True, "anharmonicity_mhz": 0}, []),
+    ("synth", {"gate": "hadamard", "anharmonicity_mhz": 0.0}, ["--drag"]),
+    ("simulate", {"gate": "pi8", "anharmonicity_mhz": 0}, []),
+    ("simulate", {"gate": "pi8", "anharmonicity_mhz": -0.0}, ["--model", "three_level"]),
 ]
 
 # Python's JSON reader accepts NaN, Infinity, -Infinity and integers of any size
@@ -512,6 +532,20 @@ class TestErrors:
         payload = json.loads(err[0][len("error: "):])
         assert payload["type"] == "ConfigError"
         assert payload["message"] == f"config key {key!r} must be {bound}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, payload, flags", ZERO_ANHARMONICITY_WITH_DRAG)
+    def test_zero_anharmonicity_with_drag_names_the_key(self, tmp_path, capsys, no_work,
+                                                        command, payload, flags):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "anh.json", {**payload, "out_dir": str(out)})
+        assert main([command, "--config", cfg, *flags]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        payload = json.loads(err[0][len("error: "):])
+        assert payload["type"] == "ConfigError"
+        assert payload["message"] == ("config key 'anharmonicity_mhz' must be nonzero "
+                                      "when drag is on")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, payload, key, kind, got", NON_FINITE,

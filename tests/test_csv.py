@@ -28,6 +28,18 @@ def test_one_row_string_column(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1025])
+def test_block_boundaries(tmp_path, n):
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n), rng.standard_normal(n)
+    k = rng.integers(-10**15, 10**15, n)
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["x", "y", "k"], [x, y, k])
+    expected = "x,y,k\n" + "".join(
+        "%.12g,%.12g,%.12g\n" % row for row in zip(x.tolist(), y.tolist(), k.tolist()))
+    assert path.read_bytes() == expected.encode()
+
+
 def test_length_mismatch(tmp_path):
     path = tmp_path / "bad.csv"
     with pytest.raises(ValueError):

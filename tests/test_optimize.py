@@ -228,6 +228,24 @@ class TestObjectiveBitExact:
         finite = sum(math.isfinite(v) for v in got)
         assert 0 < finite < len(X)
 
+    @pytest.mark.parametrize("gate,coeffs,rate0", [
+        ("pi8", (-0.2, 0.0, 0.0), "negative"),       # rejected at s = 0, before the grid
+        ("hadamard", (0.01, -0.09, 0.03), "negative"),
+        ("pi8", (-0.088, -0.006, 0.192), "positive"),  # rejected only inside the grid
+        ("pi8", (-0.0, -0.0, -0.0), "zero"),          # each term -0.0; the sum from 0.0 is +0.0
+        ("hadamard", (-0.0,), "zero"),
+        ("pi8", (-0.0781, 0.0191, 0.0133), "zero"),   # 2 pi (a1 + 2 a2 + 3 a3) is -4.4e-17
+        ("hadamard", (-0.0781, 0.0191, 0.0133), "zero"),
+    ])
+    def test_endpoint_and_interior_rejection(self, gate, coeffs, rate0):
+        spec = CATALOG[gate]
+        _, _, dbeta = beta_schedule(default_schedule(spec, coeffs))
+        assert {"negative": dbeta[0] < 0.0, "positive": dbeta[0] > 0.0,
+                "zero": math.copysign(1.0, dbeta[0]) == 1.0 and dbeta[0] == 0.0}[rate0]
+        got = objective(coeffs, spec, DEFAULT_BUDGET)
+        assert got == reference_objective(coeffs, spec, DEFAULT_BUDGET)
+        assert math.isfinite(got) == (rate0 == "zero") == (dbeta.min() >= 0.0)
+
     def test_short_vectors_grids_and_box_edges(self):
         cases = [((), 4001), ((0.05,), 1001), ((0.2, -0.03), 2001),
                  ((0.21, 0.0, 0.0), 4001), ((0.0, 0.0, -0.2), 4001)]
@@ -299,6 +317,22 @@ class TestOptimize:
         assert len(result.history) > 50
         coeffs, tau = result.history[0]
         assert coeffs == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("gate", ["pi8", "hadamard"])
+    def test_grid_built_only_for_trials_not_rejected_at_s0(self, gate, monkeypatch):
+        built = []
+
+        def spy(schedule, grid_points):
+            built.append(schedule.coeffs)
+            return beta_schedule(schedule, grid_points)
+
+        monkeypatch.setitem(objective.__globals__, "beta_schedule", spy)
+        problem = OptimizationProblem(CATALOG[gate], DEFAULT_BUDGET, grid_points=1001)
+        result = optimize(problem, seed=2501, n_starts=4, max_evals_per_start=60)
+        in_box = [c for c, _ in result.history if all(abs(a) <= problem.bound for a in c)]
+        rates = [beta_schedule(default_schedule(CATALOG[gate], c), 2)[2][0] for c in in_box]
+        assert sorted(built) == sorted(c for c, r in zip(in_box, rates) if not r < 0.0)
+        assert 0 < len(built) < len(in_box) <= len(result.history)
 
     def test_result_csv(self, tmp_path):
         result = OptimizationResult(coeffs=(0.1, -0.02, 0.0), tau=17.5, baseline_tau=19.7)

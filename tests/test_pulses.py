@@ -149,6 +149,14 @@ class TestNormalizeDuration:
         t2 = normalize_duration(traj, AmplitudeBudget(TWO_PI * 0.060))
         assert t1 == pytest.approx(2 * t2, rel=1e-14)
 
+    @pytest.mark.parametrize("gate,coeffs", [("phase", ()), ("pi8", ()), ("hadamard", ()),
+                                             *OPTIMIZED_COEFFS.items()])
+    def test_root_of_the_peak_is_the_peak_of_the_root(self, gate, coeffs):
+        spec = CATALOG[gate]
+        traj = sample_trajectory(spec, default_schedule(spec, coeffs), 4001)
+        want = float(dimensionless_envelope(traj).max() / DEFAULT_BUDGET.omega0)
+        assert normalize_duration(traj, DEFAULT_BUDGET).hex() == want.hex()
+
     def test_envelope_peaks_at_budget(self):
         pulse = synthesize(CATALOG["pi8"])
         assert pulse.omega.max() == pytest.approx(DEFAULT_BUDGET.omega0, rel=1e-9)
